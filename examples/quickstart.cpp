@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/timer.hpp"
 #include "core/cholesky.hpp"
 #include "core/solve.hpp"
 #include "obs/counters.hpp"
@@ -37,7 +38,9 @@ int main(int argc, char** argv) {
   // 2. Compress into tile low-rank format. Tiles are generated lazily, so
   //    the dense operator is never materialized.
   const compress::Accuracy acc{eps, 1 << 30};
+  const WallTimer compress_timer;
   auto sigma = tlr::TlrMatrix::from_problem(problem, b, acc, /*band=*/1);
+  const double compress_seconds = compress_timer.seconds();
   const auto ranks = sigma.rank_stats();
   std::printf("compressed: NT = %d tiles/dim, off-diagonal ranks "
               "min/avg/max = %d/%.1f/%d\n",
@@ -54,9 +57,9 @@ int main(int argc, char** argv) {
   cfg.nthreads = 2;
   cfg.record_trace = traced;
   auto result = core::factorize(sigma, &problem, cfg);
-  std::printf("factorized in %.3f s (auto-tuned BAND_SIZE = %d, "
-              "%.2f Gflop model)\n",
-              result.factor_seconds, result.band_size,
+  std::printf("compressed in %.3f s, factorized in %.3f s (auto-tuned "
+              "BAND_SIZE = %d, %.2f Gflop model)\n",
+              compress_seconds, result.factor_seconds, result.band_size,
               result.model_flops / 1e9);
   // Resilience accounting (PTLR_FAULTS / PTLR_WATCHDOG_MS, see
   // docs/robustness.md): report whatever the recovery machinery did.

@@ -216,9 +216,17 @@ void trsm_body(Side side, Uplo uplo, Trans ta, Diag diag, ConstMatrixView a,
 }  // namespace
 
 double dot(int n, const double* x, const double* y) {
-  double s = 0.0;
-  for (int i = 0; i < n; ++i) s += x[i] * y[i];
-  return s;
+  // Eight partial sums: element i always feeds lane i % 8, whatever the
+  // length or the alignment of x and y, and the lanes are combined in one
+  // fixed tree. The order is part of the contract (docs/numerics.md), so
+  // the result is deterministic; the independent lanes hide the FMA
+  // latency and let the compiler keep them in vector registers.
+  double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  int i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (int l = 0; l < 8; ++l) s[l] += x[i + l] * y[i + l];
+  for (int l = 0; i + l < n; ++l) s[l] += x[i + l] * y[i + l];
+  return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
 }
 
 void axpy(int n, double alpha, const double* x, double* y) {

@@ -46,8 +46,10 @@ struct PivotedQr {
 PivotedQr geqp3_trunc(MatrixView a, double tol, int maxrank);
 
 /// Singular value decomposition A = U * diag(s) * V^T via one-sided Jacobi.
-/// Requires rows >= cols (callers transpose if needed). U is m-by-n with
-/// orthonormal columns, V is n-by-n orthogonal, s is descending.
+/// Requires rows >= cols (callers transpose if needed); a tall input is
+/// reduced by Householder QR first and the rotations run on R. U is m-by-n
+/// with orthonormal columns (a zero column for each exactly zero singular
+/// value), V is n-by-n orthogonal, s is descending.
 struct Svd {
   Matrix u;
   std::vector<double> s;

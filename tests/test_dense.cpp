@@ -1,10 +1,14 @@
 // Unit tests for ptlr::dense — the BLAS/LAPACK substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include "common/flops.hpp"
+#include "compress/compress.hpp"
 #include "dense/blas.hpp"
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
@@ -662,6 +666,178 @@ TEST(Svd, RankDeficientTailIsZero) {
   Matrix a = random_lowrank(25, 25, 4, 1.0, rng);
   auto s = singular_values(a.view());
   for (std::size_t i = 4; i < s.size(); ++i) EXPECT_LT(s[i], 1e-12);
+}
+
+// Battery over the shapes the compressors feed jacobi_svd: tall b-by-k
+// (the QR-preconditioned path), square, a single column, an exactly zero
+// column and rank-deficient input, each with a known spectrum.
+
+namespace {
+
+// A = U diag(s) V^T with U (m-by-r) and V (n-by-r) orthonormal Gaussian
+// factors, r = s.size() <= n; the spectrum of A is s plus n - r zeros.
+Matrix with_spectrum(int m, int n, const std::vector<double>& s, Rng& rng) {
+  const int r = static_cast<int>(s.size());
+  Matrix u(m, r), v(n, r);
+  fill_gaussian(u.view(), rng);
+  fill_gaussian(v.view(), rng);
+  std::vector<double> tau;
+  geqrf(u.view(), tau);
+  orgqr(u.view(), tau, r);
+  geqrf(v.view(), tau);
+  orgqr(v.view(), tau, r);
+  for (int j = 0; j < r; ++j) scal(m, s[j], u.view().col(j));
+  Matrix a(m, n);
+  gemm(Trans::N, Trans::T, 1.0, u.view(), v.view(), 0.0, a.view());
+  return a;
+}
+
+// Geometric spectrum of length r graded from 1 down to smin.
+std::vector<double> graded(int r, double smin) {
+  std::vector<double> s(r, 1.0);
+  for (int j = 1; j < r; ++j) s[j] = std::pow(smin, double(j) / (r - 1));
+  return s;
+}
+
+// max |X(:, cols)^T X(:, cols) - I| over the leading `cols` columns.
+double orthonormality_error(const Matrix& x, int cols) {
+  double err = 0.0;
+  for (int j = 0; j < cols; ++j)
+    for (int i = 0; i < cols; ++i) {
+      const double g = dot(x.rows(), x.view().col(i), x.view().col(j));
+      err = std::max(err, std::abs(g - (i == j ? 1.0 : 0.0)));
+    }
+  return err;
+}
+
+// Checks the SVD of a against the known spectrum s (zero-padded to n):
+// every sigma to O(n eps ||A||), U orthonormal on its nonzero singular
+// values, V orthogonal, and the reconstruction.
+void expect_svd_matches(const Matrix& a, std::vector<double> s) {
+  const int m = a.rows(), n = a.cols();
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double tol = 10.0 * n * eps;
+  s.resize(n, 0.0);
+  const Svd svd = jacobi_svd(a.view());
+  ASSERT_EQ(svd.s.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(svd.u.rows(), m);
+  ASSERT_EQ(svd.v.rows(), n);
+  for (int j = 0; j < n; ++j) EXPECT_NEAR(svd.s[j], s[j], tol * s[0]) << j;
+  int nonzero = 0;
+  while (nonzero < n && svd.s[nonzero] > 0.0) ++nonzero;
+  EXPECT_LT(orthonormality_error(svd.u, nonzero), tol);
+  EXPECT_LT(orthonormality_error(svd.v, n), tol);
+  Matrix us = svd.u;
+  for (int j = 0; j < n; ++j) scal(m, svd.s[j], us.view().col(j));
+  Matrix rec(m, n);
+  gemm(Trans::N, Trans::T, 1.0, us.view(), svd.v.view(), 0.0, rec.view());
+  EXPECT_LT(frob_diff(rec.view(), a.view()), tol * s[0]);
+}
+
+}  // namespace
+
+TEST(SvdBattery, TallGradedSpectrum) {
+  Rng rng(61);
+  for (const int k : {16, 64, 128}) {
+    SCOPED_TRACE(k);
+    const auto s = graded(k, 1e-14);
+    expect_svd_matches(with_spectrum(256, k, s, rng), s);
+  }
+}
+
+TEST(SvdBattery, SquareGradedSpectrum) {
+  Rng rng(62);
+  const auto s = graded(48, 1e-14);
+  expect_svd_matches(with_spectrum(48, 48, s, rng), s);
+}
+
+TEST(SvdBattery, SingleColumn) {
+  Rng rng(63);
+  for (const int m : {1, 7, 256}) {
+    SCOPED_TRACE(m);
+    expect_svd_matches(with_spectrum(m, 1, {2.5}, rng), {2.5});
+  }
+}
+
+TEST(SvdBattery, ZeroColumn) {
+  Rng rng(64);
+  for (const int m : {40, 256}) {
+    SCOPED_TRACE(m);
+    // A zero column inserted into a 19-column matrix of known spectrum:
+    // the spectrum gains an exact zero, which must stay exact.
+    const auto s = graded(19, 1e-6);
+    const Matrix rest = with_spectrum(m, 19, s, rng);
+    Matrix a(m, 20);
+    copy(rest.block(0, 0, m, 7), a.block(0, 0, m, 7));
+    copy(rest.block(0, 7, m, 12), a.block(0, 8, m, 12));
+    EXPECT_EQ(jacobi_svd(a.view()).s[19], 0.0);
+    expect_svd_matches(a, s);
+  }
+}
+
+TEST(SvdBattery, RankDeficientTruncatesToConstructedRank) {
+  Rng rng(65);
+  for (const auto& [m, n, r] : {std::tuple{256, 64, 20},
+                                std::tuple{256, 128, 50},
+                                std::tuple{64, 64, 30}}) {
+    SCOPED_TRACE(testing::Message() << m << "x" << n << " rank " << r);
+    const auto s = graded(r, 1e-3);
+    const Matrix a = with_spectrum(m, n, s, rng);
+    expect_svd_matches(a, s);
+    const Svd svd = jacobi_svd(a.view());
+    for (const double tol : {1e-6, 1e-8, 1e-10})
+      EXPECT_EQ(ptlr::compress::truncation_rank(svd.s, tol), r) << tol;
+  }
+}
+
+TEST(SvdBattery, GradedTruncationRankMatchesExactSpectrum) {
+  Rng rng(66);
+  const auto s = graded(96, 1e-14);
+  const Svd svd = jacobi_svd(with_spectrum(256, 96, s, rng).view());
+  for (const double tol : {1e-4, 1e-6, 1e-8, 1e-10})
+    EXPECT_EQ(ptlr::compress::truncation_rank(svd.s, tol),
+              ptlr::compress::truncation_rank(s, tol))
+        << tol;
+}
+
+// ----------------------------------------------------------------- dot ----
+
+TEST(Dot, ExactOnIntegersForEveryTailLength) {
+  // Integer products and partial sums stay far below 2^53, so every
+  // summation order gives the exact value: this checks that each of the
+  // eight lanes and every tail length 0..33 is counted exactly once.
+  for (int n = 0; n <= 33; ++n) {
+    std::vector<double> x(n), y(n);
+    long long want = 0;
+    for (int i = 0; i < n; ++i) {
+      x[i] = i + 1;
+      y[i] = (i % 7) - 3;
+      want += static_cast<long long>(i + 1) * ((i % 7) - 3);
+    }
+    EXPECT_EQ(dot(n, x.data(), y.data()), static_cast<double>(want)) << n;
+  }
+}
+
+TEST(Dot, IndependentOfSubviewAlignment) {
+  // The same values at every offset of a buffer: element i always lands in
+  // lane i % 8, so the rounded result is bitwise the same.
+  Rng rng(67);
+  for (const int n : {5, 8, 13, 33, 200}) {
+    std::vector<double> xv(n), yv(n);
+    for (int i = 0; i < n; ++i) {
+      xv[i] = rng.uniform(-1.0, 1.0);
+      yv[i] = rng.uniform(-1.0, 1.0);
+    }
+    const double want = dot(n, xv.data(), yv.data());
+    for (int off = 0; off < 8; ++off) {
+      Matrix buf(n + 8, 2);
+      std::copy(xv.begin(), xv.end(), buf.view().col(0) + off);
+      std::copy(yv.begin(), yv.end(), buf.view().col(1) + 7 - off);
+      EXPECT_EQ(dot(n, buf.view().col(0) + off, buf.view().col(1) + 7 - off),
+                want)
+          << "n=" << n << " offset=" << off;
+    }
+  }
 }
 
 // ------------------------------------------------------------- utility ----

@@ -3,16 +3,18 @@
 //
 //   ptlr-launch --n 2 -- ./ptlr-dist --n 192 --b 32 --dist auto --band 2
 //
-// Every rank builds the same synthetic covariance problem (same seed),
-// compresses its replica, and runs the owner-computes rank program
-// (core::distributed_factorize_rank) over net::SocketTransport; tiles move
-// as real bytes on the wire. --dist auto (the default) measures the mesh's
-// (α, β) by ping-ponging rank 1 and lets core::negotiate_placement pick
-// band vs 2d vs 1d; band/2d/1d force a candidate (CI pins these).
-// --verify 1 recomputes the in-process sim-distributed factor (faults and
-// chaos disabled) and checks every tile this rank owns is bitwise
-// identical — the cross-transport oracle the dist tests use, available at
-// tool scale.
+// Every rank builds the same synthetic covariance problem (same seed) and
+// prepares its replica as core::factorize prepares its input: band-1
+// compression, BAND_SIZE from Algorithm 1 (or --band k to force it), then
+// the band regenerated dense from the problem. It runs the owner-computes
+// rank program (core::distributed_factorize_rank) over
+// net::SocketTransport; tiles move as real bytes on the wire. --dist auto
+// (the default) measures the mesh's (α, β) by ping-ponging rank 1 and lets
+// core::negotiate_placement pick band vs 2d vs 1d; band/2d/1d force a
+// candidate (CI pins these). --verify 1 prepares the same replica again,
+// recomputes the in-process sim-distributed factor (faults and chaos
+// disabled) and checks every tile this rank owns is bitwise identical —
+// the cross-transport oracle the dist tests use, available at tool scale.
 //
 // Observability: PTLR_TRACE=1 records the rank's task spans plus wire
 // events; PTLR_TRACE_FILE=trace_rank{rank}.json (via ptlr-launch
@@ -25,6 +27,7 @@
 
 #include "args.hpp"
 #include "common/error.hpp"
+#include "core/band_tuner.hpp"
 #include "core/dist_cholesky.hpp"
 #include "core/placement.hpp"
 #include "net/transport.hpp"
@@ -60,6 +63,18 @@ double mean_offband_rank(const tlr::TlrMatrix& a, int band) {
   return count > 0 ? sum / static_cast<double>(count) : 8.0;
 }
 
+/// The factorization input: band-1 compression, then the dense band
+/// regenerated from the problem, as core::factorize builds it. `band` <= 0
+/// tunes BAND_SIZE with Algorithm 1 and stores the choice back.
+tlr::TlrMatrix build_replica(const stars::CovarianceProblem& prob, int b,
+                             const compress::Accuracy& acc, int& band) {
+  tlr::TlrMatrix a = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
+  if (band <= 0)
+    band = core::tune_band_size(core::RankMap::from_matrix(a)).band_size;
+  a.densify_band(band, &prob);
+  return a;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -68,7 +83,7 @@ int main(int argc, char** argv) try {
   const int b = args.integer("b", 32);
   const double tol = args.real("tol", 1e-6);
   const std::string dist_kind = args.str("dist", "auto");
-  const int band = args.integer("band", 2);
+  int band = args.integer("band", 0);  // 0: Algorithm 1
   const bool verify = args.integer("verify", 0) != 0;
 
   net::NetConfig cfg = net::NetConfig::from_env();
@@ -92,7 +107,7 @@ int main(int argc, char** argv) try {
   obs::set_metadata("rank", std::to_string(cfg.rank));
 
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, n);
-  tlr::TlrMatrix a = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
+  tlr::TlrMatrix a = build_replica(prob, b, acc, band);
   const auto opts = core::DistCommOptions::from_env();
 
   core::DistCholeskyResult res;
@@ -137,7 +152,8 @@ int main(int argc, char** argv) try {
   }
 
   std::cout << "rank " << cfg.rank << "/" << cfg.nranks << ": n=" << n
-            << " b=" << b << " dist=" << chosen << " time=" << res.seconds
+            << " b=" << b << " band=" << band << " dist=" << chosen
+            << " time=" << res.seconds
             << " s, sent " << res.comm.messages << " msgs ("
             << res.comm.bytes << " B), wire " << wire.msgs_sent << " out/"
             << wire.msgs_recv << " in frames, " << wire.retransmits
@@ -172,7 +188,7 @@ int main(int argc, char** argv) try {
     // faults; the factors must still match bitwise).
     unsetenv("PTLR_FAULTS");
     unsetenv("PTLR_PERTURB_SEED");
-    tlr::TlrMatrix oracle = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
+    tlr::TlrMatrix oracle = build_replica(prob, b, acc, band);
     core::distributed_factorize(oracle, *dist, acc);
     long long tiles = 0;
     for (int i = 0; i < a.nt(); ++i)
