@@ -1,9 +1,7 @@
-// Machine-readable task-throughput microbenchmark of the executor engines.
+// Machine-readable task-throughput microbenchmark of the executor.
 //
 // Times raw scheduling overhead — empty-body and ~microsecond-body task
-// graphs — on the central single-lock priority queue vs the work-stealing
-// engine (PTLR_SCHED notwithstanding: each run forces its engine through
-// ExecOptions::sched). Three shapes:
+// graphs — on the work-stealing engine at 1 and 2 threads. Four shapes:
 //
 //   * independent_empty — N root tasks, no edges, empty bodies: pure
 //     pop/complete cost, the headline tasks/second number.
@@ -14,16 +12,15 @@
 //   * serial_chain      — one pure single-successor chain: zero available
 //     parallelism, so it isolates the per-hop release cost (deque round
 //     trips, diverts, wakeups) that the run-on-finisher path is meant to
-//     reduce to a function call; SchedStats.inline_runs should cover
-//     ~every non-root task here.
+//     reduce to a function call; SchedStats.inline_runs covers every
+//     non-root task except one chain break per kInlineChainMax hops.
 //
 // Output: BENCH_executor.json (override with PTLR_BENCH_OUT or argv[1]),
-// one record per (shape, ntasks, threads, sched) with seconds and
-// tasks/second, plus a ws/central speedup summary per configuration.
-// PTLR_BENCH_SCALE=small shrinks the task counts for CI smoke runs;
-// default sweeps 10k..1M. Note: at 1 thread a ws request legitimately
-// resolves to the central engine (see runtime/scheduler.hpp), so the
-// 1-thread rows measure the central queue's uncontended baseline twice.
+// one record per (shape, ntasks, threads) with seconds, tasks/second,
+// steals and inline runs, plus a speedup summary of each multi-thread row
+// over the 1-thread row of the same configuration (tools/
+// check_executor_bench.py gates it). PTLR_BENCH_SCALE=small shrinks the
+// task counts for CI smoke runs; default sweeps 10k..1M.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,6 +28,7 @@
 
 #include "common/timer.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/scheduler.hpp"
 
 using namespace ptlr;
 
@@ -40,10 +38,10 @@ struct Result {
   const char* shape;
   int ntasks;
   int threads;
-  const char* sched;
   double seconds;
   double tasks_per_sec;
   long long steals;
+  long long inline_runs;
 };
 
 rt::TaskGraph independent(int n, int spin_iters) {
@@ -103,9 +101,10 @@ rt::TaskGraph serial_chain(int n) {
   return g;
 }
 
-// Best-of-reps wall time for one full graph execution.
+// Best-of-reps wall time for one full graph execution, with the engine
+// counters of the best rep.
 double time_best(rt::TaskGraph& g, int threads, const rt::ExecOptions& opts,
-                 int reps, long long* steals) {
+                 int reps, rt::SchedStats* stats) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     WallTimer t;
@@ -113,7 +112,7 @@ double time_best(rt::TaskGraph& g, int threads, const rt::ExecOptions& opts,
     const double s = t.seconds();
     if (s < best) {
       best = s;
-      *steals = res.sched.steals;
+      *stats = res.sched;
     }
   }
   return best;
@@ -135,14 +134,14 @@ int main(int argc, char** argv) {
 
   rt::ExecOptions base;
   base.record_trace = false;
-  base.validate = false;  // timing the engines, not the graph checker
+  base.validate = false;  // timing the engine, not the graph checker
   base.perturb = rt::PerturbConfig{};
   base.faults = resil::FaultConfig{};
   base.watchdog = resil::WatchdogConfig{};
 
   std::vector<Result> results;
-  std::printf("%-18s %9s %8s %8s %12s %14s %8s\n", "shape", "ntasks",
-              "threads", "sched", "seconds", "tasks/s", "steals");
+  std::printf("%-18s %9s %8s %12s %14s %8s %8s\n", "shape", "ntasks",
+              "threads", "seconds", "tasks/s", "steals", "inline");
 
   struct Shape {
     const char* name;
@@ -163,23 +162,19 @@ int main(int argc, char** argv) {
               // fanout 15 + barrier per stage → same task budget
               : (shape.spin == -1 ? forkjoin(n / 16, 15) : serial_chain(n));
       const int ntasks = g.size();
-      // Sub-millisecond configs need more best-of samples to converge on
-      // the true floor (thread spawn + OS jitter dominate single reps).
-      const int reps = ntasks >= 500000 ? 2 : (ntasks <= 10000 ? 9 : 3);
+      // Best-of samples: the gate compares two rows at a 5% margin, so
+      // each row needs enough reps to converge on its floor through OS
+      // jitter and thread-spawn noise (sub-millisecond configs most).
+      const int reps = ntasks >= 500000 ? 5 : (ntasks <= 10000 ? 15 : 7);
       for (const int threads : {1, 2}) {
-        for (const rt::SchedulerKind k : {rt::SchedulerKind::kCentral,
-                                          rt::SchedulerKind::kWorkStealing}) {
-          auto opts = base;
-          opts.sched = k;
-          long long steals = 0;
-          const double secs = time_best(g, threads, opts, reps, &steals);
-          const char* name = rt::scheduler_name(k);
-          results.push_back({shape.name, ntasks, threads, name, secs,
-                             ntasks / secs, steals});
-          std::printf("%-18s %9d %8d %8s %12.6f %14.0f %8lld\n", shape.name,
-                      ntasks, threads, name, secs, ntasks / secs, steals);
-          std::fflush(stdout);
-        }
+        rt::SchedStats st;
+        const double secs = time_best(g, threads, base, reps, &st);
+        results.push_back({shape.name, ntasks, threads, secs, ntasks / secs,
+                           st.steals, st.inline_runs});
+        std::printf("%-18s %9d %8d %12.6f %14.0f %8lld %8lld\n", shape.name,
+                    ntasks, threads, secs, ntasks / secs, st.steals,
+                    st.inline_runs);
+        std::fflush(stdout);
       }
     }
   }
@@ -190,26 +185,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"executor\",\n");
-  std::fprintf(f, "  \"scale\": \"%s\",\n  \"results\": [\n", scale.c_str());
+  std::fprintf(f, "  \"scale\": \"%s\",\n", scale.c_str());
+  std::fprintf(f, "  \"inline_chain_max\": %d,\n  \"results\": [\n",
+               rt::kInlineChainMax);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(f,
                  "    {\"shape\": \"%s\", \"ntasks\": %d, \"threads\": %d, "
-                 "\"sched\": \"%s\", \"seconds\": %.6e, "
-                 "\"tasks_per_sec\": %.0f, \"steals\": %lld}%s\n",
-                 r.shape, r.ntasks, r.threads, r.sched, r.seconds,
-                 r.tasks_per_sec, r.steals,
-                 i + 1 < results.size() ? "," : "");
+                 "\"seconds\": %.6e, \"tasks_per_sec\": %.0f, "
+                 "\"steals\": %lld, \"inline_runs\": %lld}%s\n",
+                 r.shape, r.ntasks, r.threads, r.seconds, r.tasks_per_sec,
+                 r.steals, r.inline_runs, i + 1 < results.size() ? "," : "");
   }
-  // ws/central speedup per (shape, ntasks, threads).
-  std::fprintf(f, "  ],\n  \"speedup_ws_over_central\": [\n");
+  // Multi-thread over 1-thread speedup per (shape, ntasks, threads).
+  std::fprintf(f, "  ],\n  \"speedup_vs_1_thread\": [\n");
   bool first = true;
   for (const Result& r : results) {
-    if (std::string(r.sched) != "ws") continue;
+    if (r.threads < 2) continue;
     for (const Result& c : results) {
-      if (std::string(c.sched) == "central" &&
-          std::string(c.shape) == r.shape && c.ntasks == r.ntasks &&
-          c.threads == r.threads) {
+      if (c.threads == 1 && std::string(c.shape) == r.shape &&
+          c.ntasks == r.ntasks) {
         std::fprintf(
             f, "%s    {\"shape\": \"%s\", \"ntasks\": %d, \"threads\": %d, "
                "\"x\": %.2f}",

@@ -51,10 +51,6 @@ struct CholeskyConfig {
   /// What to do when POTRF hits a non-positive pivot (numerical
   /// breakdown): fail, or shift the diagonal and refactorize.
   resil::BreakdownPolicy breakdown;
-  /// Scheduler engine for the worker pool (see runtime/scheduler.hpp):
-  /// kAuto honours PTLR_SCHED (default work-stealing); chaos mode and
-  /// 1-thread runs always use the central queue.
-  rt::SchedulerKind sched = rt::SchedulerKind::kAuto;
 };
 
 /// Outcome of a shared-memory factorization.

@@ -9,7 +9,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -24,74 +23,6 @@ namespace ptlr::rt {
 
 namespace {
 
-// Ready-queue ordering: priority first, insertion order as tie-break so the
-// schedule is deterministic for equal priorities.
-struct ReadyTask {
-  double priority;
-  TaskId id;
-};
-struct ReadyOrder {
-  bool operator()(const ReadyTask& a, const ReadyTask& b) const {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.id > b.id;
-  }
-};
-
-// The set of ready tasks of the CENTRAL scheduler. Deterministic mode
-// keeps the binary heap below; chaos mode keeps a flat bag so pops can
-// randomize tie-breaks or invert priorities outright. Callers hold the
-// pool mutex around every method.
-class ReadyPool {
- public:
-  explicit ReadyPool(Perturber& perturber) : perturber_(perturber) {}
-
-  [[nodiscard]] bool empty() const {
-    return perturber_.enabled() ? bag_.empty() : heap_.empty();
-  }
-
-  void push(double priority, TaskId id) {
-    if (perturber_.enabled())
-      bag_.push_back({priority, id});
-    else
-      heap_.push({priority, id});
-  }
-
-  TaskId pop() {
-    if (!perturber_.enabled()) {
-      const TaskId id = heap_.top().id;
-      heap_.pop();
-      return id;
-    }
-    std::size_t pick;
-    if (perturber_.decide(perturber_.config().inversion_probability)) {
-      // Forced priority inversion: any ready task, priorities be damned.
-      pick = static_cast<std::size_t>(perturber_.below(bag_.size()));
-    } else {
-      // Highest priority, random tie-break among equals.
-      pick = 0;
-      std::size_t ties = 1;
-      for (std::size_t i = 1; i < bag_.size(); ++i) {
-        if (bag_[i].priority > bag_[pick].priority) {
-          pick = i;
-          ties = 1;
-        } else if (bag_[i].priority == bag_[pick].priority &&
-                   perturber_.below(++ties) == 0) {
-          pick = i;
-        }
-      }
-    }
-    const TaskId id = bag_[pick].id;
-    bag_[pick] = bag_.back();
-    bag_.pop_back();
-    return id;
-  }
-
- private:
-  Perturber& perturber_;
-  std::priority_queue<ReadyTask, std::vector<ReadyTask>, ReadyOrder> heap_;
-  std::vector<ReadyTask> bag_;
-};
-
 // Per-task lifecycle for the watchdog's state dump.
 enum TaskState : std::uint8_t {
   kStatePending = 0,
@@ -100,11 +31,9 @@ enum TaskState : std::uint8_t {
   kStateDone = 3,
 };
 
-// ------------------------------------------------ work-stealing pieces --
-
-/// One worker of the work-stealing engine. Owner-local counters are
-/// summed into SchedStats after the pool joins, so the hot path never
-/// touches a shared cache line for statistics.
+/// One worker of the engine. Owner-local counters are summed into
+/// SchedStats after the pool joins, so the hot path never touches a shared
+/// cache line for statistics.
 struct alignas(64) WsWorker {
   std::array<WsDeque, kSchedBands> bands;
   /// Cross-worker deposit slot for locality-directed placement. Touched
@@ -127,27 +56,34 @@ struct alignas(64) WsWorker {
   long long divert_suppressed = 0;
 };
 
-/// Run-on-finisher chain cap: how many sole-released successors a worker
-/// executes back-to-back before breaking the chain with a real push. The
-/// cap bounds unfairness (a chain monopolizing one worker while higher
-/// bands wait in its deque) and keeps the watchdog's ready/running dump
-/// honest on pathological million-task chains.
-constexpr int kInlineChainMax = 256;
-
 /// Wake-futility backoff. A wake that delivers no work (the waker's deque
 /// drained before we arrived — the steady state of a serial chain or a
 /// narrow fork-join on an oversubscribed host) costs a futex round trip
 /// and two context switches for nothing. After kFutileWakeLimit such
 /// wakes in a row a worker stops advertising in the idle-set and parks on
 /// an exponentially growing timeout instead (kNapBaseUs << k, capped at
-/// 64x ≈ 12.8 ms), so pushers stop paying to wake it. Each useful find
-/// decays the backoff by ONE step rather than clearing it: a lone task
-/// caught by a nap-expiry rescan proves nothing about supply, and letting
-/// it re-arm eager wakes puts the fork-join pathology on a ~3-wake
-/// relapse cycle; only a streak of consecutive finds — real stealable
-/// parallelism — walks the worker back to advertising.
+/// 64x ≈ 12.8 ms), so pushers stop paying to wake it. Each steal of real
+/// work (see kMinStolenWork) decays the backoff by ONE step rather than
+/// clearing it: a lone task caught by a nap-expiry rescan proves nothing
+/// about supply, and letting it re-arm eager wakes puts the fork-join
+/// pathology on a ~3-wake relapse cycle; only a streak of such steals —
+/// real stealable parallelism — walks the worker back to advertising.
+/// Running tasks from its own deque leaves the backoff alone: work a
+/// worker produced itself says nothing about whether waking or stealing
+/// pays.
 constexpr int kFutileWakeLimit = 2;
 constexpr int kNapBaseUs = 200;
+
+/// Steal granularity floor. A stolen task that (with the inline chain it
+/// starts) finishes sooner than this cost its owner more in cache-line
+/// transfers — deque ends, dependency counters, the task's data — than the
+/// thief saved it: without this floor, two workers on a 4-core host ran
+/// an empty-body fork-join at a third of one worker's speed. Such a steal
+/// counts as futile, like a wake that found nothing, so a worker that
+/// keeps stealing crumbs backs off into naps and leaves fine-grained
+/// phases to the worker that produced them. Tile kernels and nested
+/// children run for tens of microseconds or more and are never throttled.
+constexpr auto kMinStolenWork = std::chrono::microseconds(1);
 
 /// Idle-worker bitmask. A worker advertises itself before sleeping; a
 /// pusher claims (clears) one bit and wakes only that worker. seq_cst on
@@ -209,10 +145,13 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
 
   const resil::RecoveryStats recovery_before = resil::snapshot();
   Perturber perturber(opts.perturb);
+  // Chaos mode steers three decision sites of the engine below (pop
+  // inversion, steal-victim order, inline-chain cuts) plus the stall in
+  // run_task. Each site tests this flag first, so with chaos off the hot
+  // path only pays a predictable branch.
+  const bool chaos = perturber.enabled();
+  const double invert_p = opts.perturb.inversion_probability;
   const resil::FaultInjector injector(opts.faults);
-  const SchedulerKind sched =
-      resolve_scheduler(opts.sched, nthreads, perturber.enabled());
-  result.sched.scheduler = sched;
 
   // The per-task state stamps are consumed only by the watchdog's stall
   // dump; without a watchdog the vector is not even allocated (every
@@ -241,17 +180,62 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   std::atomic<bool> watchdog_fired{false};
   std::mutex err_mu;
   std::exception_ptr first_error;
-  // Engine-specific: records the error, cancels the run, wakes every
-  // worker. Assigned below before any thread (watchdog included) starts.
-  std::function<void(std::exception_ptr)> fail;
+
+  // Per-worker Chase–Lev deques in priority bands; dependency release is
+  // fully lock-free (the atomic `pending` counters gate readiness, the
+  // finishing worker pushes newly-ready successors straight onto its own
+  // deque); idle workers advertise themselves in a bitmask and get
+  // targeted notify_one wakeups instead of notify_all broadcasts.
+  const BandMap band_map = BandMap::from_graph(g);
+  // Flat graphs populate band 0 only; skip the guaranteed-empty bands in
+  // every pop/steal scan instead of paying three wasted reservation pops
+  // (each a store-load barrier) per task.
+  const int nbands = band_map.bands_used();
+  std::vector<std::unique_ptr<WsWorker>> ws(static_cast<std::size_t>(nthreads));
+  for (auto& w : ws) w = std::make_unique<WsWorker>();
+  IdleSet idle(nthreads);
+  std::atomic<int> remaining{n};
+  std::atomic<bool> all_done{false};
+
+  // Every wake goes through the target's own sleep mutex: `signalled` is
+  // set under it, and a parking worker re-checks it (and the all_done /
+  // cancelled flags, which are stored before any wake) under the same
+  // mutex, so a wake can never slip between the check and the wait.
+  auto signal = [&](int w) {
+    WsWorker& ww = *ws[static_cast<std::size_t>(w)];
+    {
+      std::lock_guard<std::mutex> lk(ww.sleep_mu);
+      ww.signalled = true;
+    }
+    ww.sleep_cv.notify_one();
+  };
+  auto wake_all = [&] {
+    for (int w = 0; w < nthreads; ++w) signal(w);
+  };
+  // Claim one idle worker (if any) and wake exactly it.
+  auto wake_one_idle = [&](int self) -> bool {
+    const int w = idle.pick(self);
+    if (w < 0) return false;
+    signal(w);
+    ws[static_cast<std::size_t>(self)]->wakeups++;
+    return true;
+  };
+
+  // Record the first error, cancel the run, wake every worker.
+  auto fail = [&](std::exception_ptr err) {
+    {
+      std::lock_guard<std::mutex> lock(err_mu);
+      if (!first_error) first_error = err;
+    }
+    cancelled.store(true, std::memory_order_release);
+    wake_all();
+  };
 
   WallTimer timer;
 
   // Run one task's body: perturbation stall, fault injection with
-  // snapshot/restore retry, obs span, trace stamps. Shared verbatim by
-  // both engines so the resilience accounting (injected == retries ==
-  // recovered) and the trace/seq contracts cannot diverge between them.
-  // Returns false when the run is condemned (fail() already called).
+  // snapshot/restore retry, obs span, trace stamps. Returns false when the
+  // run is condemned (fail() already called).
   auto run_task = [&](TaskId task, int wid) -> bool {
     if (wd_on)
       state[static_cast<std::size_t>(task)].store(kStateRunning,
@@ -368,8 +352,8 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   // Watchdog: a monitor thread over the completed-task counter. If no task
   // completes for the configured deadline the run is wedged (deadlocked
   // body, lost wakeup, livelock); the watchdog converts the hang into a
-  // descriptive error with a dump of where every task stood. Engine
-  // independent: it only reads `completed` and calls `fail`.
+  // descriptive error with a dump of where every task stood. It only reads
+  // `completed` and calls `fail`.
   std::mutex wd_mu;
   std::condition_variable wd_cv;
   bool wd_stop = false;
@@ -428,500 +412,417 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     });
   };
 
-  if (sched == SchedulerKind::kCentral) {
-    // ------------------------------------------- central priority queue --
-    ReadyPool ready(perturber);
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining = n;
+  // Locality table: output tile (ti, tj) → the worker that last wrote it.
+  // A released panel task is handed to that worker when it is idle, so
+  // POTRF/TRSM land where their tile is cache-hot. Built from the dense
+  // TaskMeta array, and skipped outright when the graph carries no tile
+  // coordinates (flat fuzz/bench DAGs): at 10^6 tasks a pass over the
+  // ~200-byte Node records costs more than the whole empty-task run.
+  std::unordered_map<std::uint64_t, int> tile_slot;
+  if (g.tiled_tasks() > 0) {
     for (TaskId t = 0; t < n; ++t) {
       const TaskMeta& m = meta[static_cast<std::size_t>(t)];
-      if (m.npred == 0) {
-        ready.push(m.priority, t);
-        if (wd_on)
-          state[static_cast<std::size_t>(t)].store(kStateReady,
-                                                   std::memory_order_relaxed);
-      }
+      if (m.ti >= 0 && m.tj >= 0)
+        tile_slot.emplace(tile_key64(m.ti, m.tj),
+                          static_cast<int>(tile_slot.size()));
     }
+  }
+  std::vector<std::atomic<int>> last_writer(tile_slot.size());
+  for (auto& a : last_writer) a.store(-1, std::memory_order_relaxed);
+  auto slot_of = [&](TaskId t) -> int {
+    const TaskMeta& m = meta[static_cast<std::size_t>(t)];
+    if (m.ti < 0 || m.tj < 0) return -1;
+    const auto it = tile_slot.find(tile_key64(m.ti, m.tj));
+    return it == tile_slot.end() ? -1 : it->second;
+  };
 
-    fail = [&](std::exception_ptr err) {
-      {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = err;
-      }
-      cancelled.store(true, std::memory_order_release);
-      cv.notify_all();
-    };
+  // Nested child-task substrate (runtime/nested.hpp). Children live in
+  // per-worker kids deques beside the graph bands and are encoded in
+  // find_work results as n + slot — no TaskIds, no watchdog states, no
+  // entries in `pending`/`remaining` (a parent cannot complete before its
+  // sync(), so termination detection never sees a dangling child). A lone
+  // worker gets no substrate: nobody could steal its children, so spawns
+  // run at the spawn point and the kernels skip their chunking.
+  std::unique_ptr<detail::NestedEngine> nest;
+  if (nested_enabled() && nthreads > 1) {
+    nest = std::make_unique<detail::NestedEngine>(nthreads);
+    nest->wake = [&wake_one_idle](int spawner) { wake_one_idle(spawner); };
+  }
 
-    auto worker = [&](int wid) {
-      for (;;) {
-        TaskId task = -1;
+  // Make a newly-ready task runnable. Default: the finishing worker's own
+  // deque (the successor consumes what this worker just produced —
+  // locality for free). If the worker that last wrote the successor's
+  // output tile is idle, divert the task to it and wake exactly it.
+  // Returns 1 when the task landed on the caller's own deque (the caller
+  // may owe surplus wakeups), 0 when it was diverted. allow_divert=false
+  // pins the push to the caller's deque — used when breaking an inline
+  // chain, where scattering the continuation to an idle worker would
+  // resume exactly the ping-pong the run-on-finisher path exists to kill
+  // (counted in divert_suppressed).
+  auto push_ready = [&](int self, TaskId s, bool allow_divert) -> int {
+    if (wd_on)
+      state[static_cast<std::size_t>(s)].store(kStateReady,
+                                               std::memory_order_relaxed);
+    // Read priority/owner from the dense metadata: touching the Node
+    // record here would pull a cold ~200-byte task description into cache
+    // per release just to band the push.
+    const TaskMeta& sm = meta[static_cast<std::size_t>(s)];
+    const int band = band_map.band(sm.priority);
+    if (allow_divert) {
+      int pref = -1;
+      const int slot = slot_of(s);
+      if (slot >= 0)
+        pref = last_writer[static_cast<std::size_t>(slot)].load(
+            std::memory_order_relaxed);
+      if (pref < 0 && sm.owner > 0 && nthreads > 1)
+        pref = sm.owner % nthreads;
+      if (pref >= 0 && pref != self && pref < nthreads && idle.clear(pref)) {
+        WsWorker& pw = *ws[static_cast<std::size_t>(pref)];
         {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] {
-            return !ready.empty() || remaining == 0 ||
-                   cancelled.load(std::memory_order_acquire);
-          });
-          if (remaining == 0 || cancelled.load(std::memory_order_acquire))
-            return;
-          if (ready.empty()) continue;
-          task = ready.pop();
+          std::lock_guard<std::mutex> lk(pw.inbox_mu);
+          pw.inbox.emplace_back(band, s);
         }
-        if (!run_task(task, wid)) return;
-
-        // Release successors; collect newly-ready tasks under the lock.
-        perturber.maybe_stall();
-        bool notify = false;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          for (const TaskId s : g.successors(task)) {
-            if (pending[static_cast<std::size_t>(s)].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-              ready.push(g.info(s).priority, s);
-              if (wd_on)
-                state[static_cast<std::size_t>(s)].store(
-                    kStateReady, std::memory_order_relaxed);
-              notify = true;
-            }
-          }
-          if (--remaining == 0) notify = true;
-        }
-        if (notify) cv.notify_all();
+        pw.inbox_nonempty.store(true, std::memory_order_release);
+        signal(pref);
+        WsWorker& me = *ws[static_cast<std::size_t>(self)];
+        me.diverted++;
+        me.wakeups++;
+        return 0;
       }
-    };
-
-    start_watchdog();
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker, w);
-    for (auto& th : pool) th.join();
-  } else {
-    // ------------------------------------------- work-stealing engine ----
-    // Per-worker Chase–Lev deques in priority bands; dependency release is
-    // fully lock-free (the atomic `pending` counters gate readiness, the
-    // finishing worker pushes newly-ready successors straight onto its own
-    // deque); idle workers advertise themselves in a bitmask and get
-    // targeted notify_one wakeups instead of notify_all broadcasts.
-    const BandMap band_map = BandMap::from_graph(g);
-    // Flat graphs populate band 0 only; skip the guaranteed-empty bands in
-    // every pop/steal scan instead of paying three wasted reservation pops
-    // (each a store-load barrier) per task.
-    const int nbands = band_map.bands_used();
-    std::vector<std::unique_ptr<WsWorker>> ws(
-        static_cast<std::size_t>(nthreads));
-    for (auto& w : ws) w = std::make_unique<WsWorker>();
-    IdleSet idle(nthreads);
-    std::atomic<int> remaining{n};
-    std::atomic<bool> all_done{false};
-
-    // Locality table: output tile (ti, tj) → the worker that last wrote
-    // it. A released panel task is handed to that worker when it is idle,
-    // so POTRF/TRSM land where their tile is cache-hot.
-    // Built from the dense TaskMeta array, and skipped outright when the
-    // graph carries no tile coordinates (flat fuzz/bench DAGs): this pass
-    // plus the banding/seeding sweeps used to walk the ~200-byte Node
-    // records, and at 10^6 tasks that setup cost alone put ws ~40% behind
-    // the central queue on empty-task shapes.
-    std::unordered_map<std::uint64_t, int> tile_slot;
-    if (g.tiled_tasks() > 0) {
-      for (TaskId t = 0; t < n; ++t) {
-        const TaskMeta& m = meta[static_cast<std::size_t>(t)];
-        if (m.ti >= 0 && m.tj >= 0)
-          tile_slot.emplace(tile_key64(m.ti, m.tj),
-                            static_cast<int>(tile_slot.size()));
-      }
+    } else {
+      ws[static_cast<std::size_t>(self)]->divert_suppressed++;
     }
-    std::vector<std::atomic<int>> last_writer(tile_slot.size());
-    for (auto& a : last_writer) a.store(-1, std::memory_order_relaxed);
-    auto slot_of = [&](TaskId t) -> int {
-      const TaskMeta& m = meta[static_cast<std::size_t>(t)];
-      if (m.ti < 0 || m.tj < 0) return -1;
-      const auto it = tile_slot.find(tile_key64(m.ti, m.tj));
-      return it == tile_slot.end() ? -1 : it->second;
-    };
+    ws[static_cast<std::size_t>(self)]->bands[static_cast<std::size_t>(band)]
+        .push(s);
+    return 1;
+  };
 
-    auto signal = [&](int w) {
-      WsWorker& ww = *ws[static_cast<std::size_t>(w)];
-      {
-        std::lock_guard<std::mutex> lk(ww.sleep_mu);
-        ww.signalled = true;
-      }
-      ww.sleep_cv.notify_one();
-    };
-    auto wake_all = [&] {
-      for (int w = 0; w < nthreads; ++w) signal(w);
-    };
-    // Claim one idle worker (if any) and wake exactly it.
-    auto wake_one_idle = [&](int self) -> bool {
-      const int w = idle.pick(self);
-      if (w < 0) return false;
-      signal(w);
-      ws[static_cast<std::size_t>(self)]->wakeups++;
-      return true;
-    };
-
-    fail = [&](std::exception_ptr err) {
-      {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = err;
-      }
-      cancelled.store(true, std::memory_order_release);
-      wake_all();
-    };
-
-    // Nested child-task substrate (runtime/nested.hpp). Children live in
-    // per-worker kids deques beside the graph bands and are encoded in
-    // find_work results as n + slot — no TaskIds, no watchdog states, no
-    // entries in `pending`/`remaining` (a parent cannot complete before
-    // its sync(), so termination detection never sees a dangling child).
-    std::unique_ptr<detail::NestedEngine> nest;
-    if (nested_enabled()) {
-      nest = std::make_unique<detail::NestedEngine>(nthreads);
-      nest->wake = [&wake_one_idle](int spawner) { wake_one_idle(spawner); };
+  auto drain_inbox = [&](int self) {
+    WsWorker& me = *ws[static_cast<std::size_t>(self)];
+    if (!me.inbox_nonempty.load(std::memory_order_acquire)) return;
+    std::vector<std::pair<int, TaskId>> batch;
+    {
+      std::lock_guard<std::mutex> lk(me.inbox_mu);
+      batch.swap(me.inbox);
+      me.inbox_nonempty.store(false, std::memory_order_relaxed);
     }
+    for (const auto& [band, s] : batch)
+      me.bands[static_cast<std::size_t>(band)].push(s);
+  };
 
-    // Make a newly-ready task runnable. Default: the finishing worker's
-    // own deque (the successor consumes what this worker just produced —
-    // locality for free). If the worker that last wrote the successor's
-    // output tile is idle, divert the task to it and wake exactly it.
-    // Returns 1 when the task landed on the caller's own deque (the
-    // caller may owe surplus wakeups), 0 when it was diverted.
-    // allow_divert=false pins the push to the caller's deque — used when
-    // breaking an inline chain, where scattering the continuation to an
-    // idle worker would resume exactly the ping-pong the run-on-finisher
-    // path exists to kill (counted in divert_suppressed).
-    auto push_ready = [&](int self, TaskId s, bool allow_divert) -> int {
-      if (wd_on)
-        state[static_cast<std::size_t>(s)].store(kStateReady,
-                                                 std::memory_order_relaxed);
-      // Read priority/owner from the dense metadata: touching the Node
-      // record here would pull a cold ~200-byte task description into
-      // cache per release just to band the push.
-      const TaskMeta& sm = meta[static_cast<std::size_t>(s)];
-      const int band = band_map.band(sm.priority);
-      if (allow_divert) {
-        int pref = -1;
-        const int slot = slot_of(s);
-        if (slot >= 0)
-          pref = last_writer[static_cast<std::size_t>(slot)].load(
-              std::memory_order_relaxed);
-        if (pref < 0 && sm.owner > 0 && nthreads > 1)
-          pref = sm.owner % nthreads;
-        if (pref >= 0 && pref != self && pref < nthreads &&
-            idle.clear(pref)) {
-          WsWorker& pw = *ws[static_cast<std::size_t>(pref)];
-          {
-            std::lock_guard<std::mutex> lk(pw.inbox_mu);
-            pw.inbox.emplace_back(band, s);
-          }
-          pw.inbox_nonempty.store(true, std::memory_order_release);
-          signal(pref);
-          WsWorker& me = *ws[static_cast<std::size_t>(self)];
-          me.diverted++;
-          me.wakeups++;
-          return 0;
-        }
-      } else {
-        ws[static_cast<std::size_t>(self)]->divert_suppressed++;
-      }
-      ws[static_cast<std::size_t>(self)]->bands[static_cast<std::size_t>(
-          band)].push(s);
-      return 1;
-    };
-
-    auto drain_inbox = [&](int self) {
-      WsWorker& me = *ws[static_cast<std::size_t>(self)];
-      if (!me.inbox_nonempty.load(std::memory_order_acquire)) return;
-      std::vector<std::pair<int, TaskId>> batch;
-      {
-        std::lock_guard<std::mutex> lk(me.inbox_mu);
-        batch.swap(me.inbox);
-        me.inbox_nonempty.store(false, std::memory_order_relaxed);
-      }
-      for (const auto& [band, s] : batch)
-        me.bands[static_cast<std::size_t>(band)].push(s);
-    };
-
-    // Children first in both scans: a child is a piece of an *already
-    // running* parent, so finishing it brings a sync() — and therefore a
-    // graph-task completion — closer than any fresh graph task would.
-    auto pop_own = [&](int self) -> TaskId {
-      WsWorker& me = *ws[static_cast<std::size_t>(self)];
-      if (nest) {
-        const std::int32_t c =
-            nest->lanes[static_cast<std::size_t>(self)]->kids.pop();
-        if (c >= 0) return n + c;
-      }
-      for (int b = nbands - 1; b >= 0; --b) {
-        const std::int32_t v = me.bands[static_cast<std::size_t>(b)].pop();
+  // Children first in both scans: a child is a piece of an *already
+  // running* parent, so finishing it brings a sync() — and therefore a
+  // graph-task completion — closer than any fresh graph task would.
+  auto pop_own = [&](int self) -> TaskId {
+    WsWorker& me = *ws[static_cast<std::size_t>(self)];
+    if (nest) {
+      const std::int32_t c =
+          nest->lanes[static_cast<std::size_t>(self)]->kids.pop();
+      if (c >= 0) return n + c;
+    }
+    if (chaos && perturber.decide(invert_p)) {
+      // Forced priority inversion: the oldest task (FIFO end) of a random
+      // non-empty band instead of the newest task of the highest band.
+      std::array<int, kSchedBands> nonempty{};
+      int k = 0;
+      for (int b = 0; b < nbands; ++b)
+        if (me.bands[static_cast<std::size_t>(b)].size_hint() > 0)
+          nonempty[static_cast<std::size_t>(k++)] = b;
+      if (k > 0) {
+        const auto b = nonempty[static_cast<std::size_t>(
+            perturber.below(static_cast<std::uint64_t>(k)))];
+        const std::int32_t v = me.bands[static_cast<std::size_t>(b)].steal();
         if (v >= 0) return v;
       }
-      return -1;
-    };
-
-    // Scan the other workers' deques, highest band first; retry as long
-    // as any CAS aborted (work may remain behind a lost race).
-    auto try_steal = [&](int self) -> TaskId {
-      for (;;) {
-        bool aborted = false;
-        for (int d = 1; d < nthreads; ++d) {
-          const int v = (self + d) % nthreads;
-          WsWorker& victim = *ws[static_cast<std::size_t>(v)];
-          if (nest) {
-            const std::int32_t c =
-                nest->lanes[static_cast<std::size_t>(v)]->kids.steal();
-            if (c >= 0) {
-              ws[static_cast<std::size_t>(self)]->steals++;
-              return n + c;
-            }
-            if (c == WsDeque::kAbort) aborted = true;
-          }
-          for (int b = nbands - 1; b >= 0; --b) {
-            const std::int32_t r =
-                victim.bands[static_cast<std::size_t>(b)].steal();
-            if (r >= 0) {
-              ws[static_cast<std::size_t>(self)]->steals++;
-              return r;
-            }
-            if (r == WsDeque::kAbort) aborted = true;
-          }
-        }
-        if (!aborted) return -1;
-      }
-    };
-
-    auto find_work = [&](int self) -> TaskId {
-      drain_inbox(self);
-      const TaskId t = pop_own(self);
-      if (t >= 0) return t;
-      return try_steal(self);
-    };
-
-    // Seed the roots round-robin (or at their owner hint) before any
-    // worker starts — single-threaded, so owner pushes are safe. Reverse
-    // id order: owner pops are LIFO, so pushing high ids first makes each
-    // worker start its roots in insertion order, matching the central
-    // queue's equal-priority tie-break.
-    {
-      int rr = 0;
-      for (TaskId t = n - 1; t >= 0; --t) {
-        const TaskMeta& m = meta[static_cast<std::size_t>(t)];
-        if (m.npred != 0) continue;
-        if (wd_on)
-          state[static_cast<std::size_t>(t)].store(kStateReady,
-                                                   std::memory_order_relaxed);
-        const int w = m.owner > 0 ? m.owner % nthreads : (rr++ % nthreads);
-        // push_prestart: the worker std::threads have not been created
-        // yet, so their construction publishes all of this at once — no
-        // per-root store-load barrier.
-        ws[static_cast<std::size_t>(w)]
-            ->bands[static_cast<std::size_t>(band_map.band(m.priority))]
-            .push_prestart(t);
-      }
     }
+    for (int b = nbands - 1; b >= 0; --b) {
+      const std::int32_t v = me.bands[static_cast<std::size_t>(b)].pop();
+      if (v >= 0) return v;
+    }
+    return -1;
+  };
 
-    auto worker = [&](int self) {
-      WsWorker& me = *ws[static_cast<std::size_t>(self)];
-      // Install the nested-spawn context for the lifetime of this worker:
-      // any task body running here may open a TaskGroup and push children
-      // into this worker's kids deque.
-      detail::TaskContext ctx{nest.get(), self};
-      const detail::ContextGuard ctx_guard(nest ? &ctx : nullptr);
-      // Completions are counted locally and flushed to the shared
-      // `remaining` only when this worker runs dry — one atomic RMW per
-      // dry spell instead of one per task. Correct because the global
-      // count is only *needed* at the point some worker might park or the
-      // run might be over, and both of those pass through a failed
-      // find_work. Every park below is preceded by a flush.
-      long long local_done = 0;
-      // Wake-futility backoff state (see kFutileWakeLimit above):
-      // `probing` marks the find_work attempt right after a wake, so a
-      // failed probe can be charged as a futile wake.
-      int futile = 0;
-      bool probing = false;
-      const auto flush = [&]() -> bool {  // true: this flush ended the run
-        if (local_done == 0) return false;
-        const int prev = remaining.fetch_sub(static_cast<int>(local_done),
-                                             std::memory_order_acq_rel);
-        const bool last = prev == static_cast<int>(local_done);
-        local_done = 0;
-        if (last) {
-          all_done.store(true, std::memory_order_release);
-          wake_all();
-        }
-        return last;
-      };
-      for (;;) {
-        if (all_done.load(std::memory_order_acquire) ||
-            cancelled.load(std::memory_order_acquire))
-          return;
-        TaskId task = find_work(self);
-        if (task < 0) {
-          if (flush()) return;
-          // Spin briefly before parking. In phased graphs (fork-join
-          // stages, panel barriers) the gap between releases is shorter
-          // than a sleep/wake round trip, so paying a few yields here
-          // avoids a futex wake plus two context switches per phase.
-          // NOT while backing off: on an oversubscribed CPU each yield
-          // with another runnable thread is a forced context switch, so a
-          // worker that keeps probing-and-yielding never reaches the park
-          // below and bleeds the busy worker's timeslices all run long —
-          // exactly the fork-join pathology the backoff exists to stop.
-          for (int spin = 0; spin < 64 && task < 0 && futile == 0; ++spin) {
-            if (all_done.load(std::memory_order_acquire) ||
-                cancelled.load(std::memory_order_acquire))
-              return;
-            std::this_thread::yield();
-            task = find_work(self);
+  // Scan the other workers' deques, highest band first; retry as long as
+  // any CAS aborted (work may remain behind a lost race). The scan starts
+  // at the next worker, or at a seeded victim in chaos mode.
+  auto try_steal = [&](int self) -> TaskId {
+    for (;;) {
+      bool aborted = false;
+      const int first =
+          chaos ? static_cast<int>(perturber.below(
+                      static_cast<std::uint64_t>(nthreads - 1)))
+                : 0;
+      for (int i = 0; i < nthreads - 1; ++i) {
+        const int v = (self + 1 + (first + i) % (nthreads - 1)) % nthreads;
+        WsWorker& victim = *ws[static_cast<std::size_t>(v)];
+        if (nest) {
+          const std::int32_t c =
+              nest->lanes[static_cast<std::size_t>(v)]->kids.steal();
+          if (c >= 0) {
+            ws[static_cast<std::size_t>(self)]->steals++;
+            return n + c;
           }
+          if (c == WsDeque::kAbort) aborted = true;
         }
-        if (task < 0) {
-          if (probing) {
-            // The wake that preceded this scan delivered nothing.
-            probing = false;
-            ++futile;
+        for (int b = nbands - 1; b >= 0; --b) {
+          const std::int32_t r =
+              victim.bands[static_cast<std::size_t>(b)].steal();
+          if (r >= 0) {
+            ws[static_cast<std::size_t>(self)]->steals++;
+            return r;
           }
-          if (futile < kFutileWakeLimit) {
-            // Out of work. Advertise idleness FIRST, then re-scan: a push
-            // that raced with the first scan either happened before the
-            // bit became visible (this second scan finds it) or after
-            // (the pusher sees the bit and wakes us). seq_cst on both
-            // sides makes the two cases exhaustive — no lost wakeup.
-            idle.set(self);
-            task = find_work(self);
-            if (task < 0) {
-              me.parks++;
-              std::unique_lock<std::mutex> lk(me.sleep_mu);
-              me.sleep_cv.wait(lk, [&] {
+          if (r == WsDeque::kAbort) aborted = true;
+        }
+      }
+      if (!aborted) return -1;
+    }
+  };
+
+  auto find_work = [&](int self, bool steal) -> TaskId {
+    drain_inbox(self);
+    const TaskId t = pop_own(self);
+    if (t >= 0 || !steal) return t;
+    return try_steal(self);
+  };
+
+  // Seed the roots round-robin (or at their owner hint) before any worker
+  // starts — single-threaded, so owner pushes are safe. Reverse id order:
+  // owner pops are LIFO, so pushing high ids first makes each worker start
+  // its roots of a band in insertion order.
+  {
+    int rr = 0;
+    for (TaskId t = n - 1; t >= 0; --t) {
+      const TaskMeta& m = meta[static_cast<std::size_t>(t)];
+      if (m.npred != 0) continue;
+      if (wd_on)
+        state[static_cast<std::size_t>(t)].store(kStateReady,
+                                                 std::memory_order_relaxed);
+      const int w = m.owner > 0 ? m.owner % nthreads : (rr++ % nthreads);
+      // push_prestart: the worker std::threads have not been created yet,
+      // so their construction publishes all of this at once — no per-root
+      // store-load barrier.
+      ws[static_cast<std::size_t>(w)]
+          ->bands[static_cast<std::size_t>(band_map.band(m.priority))]
+          .push_prestart(t);
+    }
+  }
+
+  auto worker = [&](int self) {
+    WsWorker& me = *ws[static_cast<std::size_t>(self)];
+    // Install the nested-spawn context for the lifetime of this worker:
+    // any task body running here may open a TaskGroup and push children
+    // into this worker's kids deque.
+    detail::TaskContext ctx{nest.get(), self};
+    const detail::ContextGuard ctx_guard(nest ? &ctx : nullptr);
+    // Completions are counted locally and flushed to the shared
+    // `remaining` only when this worker runs dry — one atomic RMW per dry
+    // spell instead of one per task. Correct because the global count is
+    // only *needed* at the point some worker might park or the run might
+    // be over, and both of those pass through a failed find_work. Every
+    // park below is preceded by a flush.
+    long long local_done = 0;
+    // Wake-futility backoff state (see kFutileWakeLimit above): `probing`
+    // marks the find_work attempt right after a wake, so a failed probe
+    // can be charged as a futile wake.
+    int futile = 0;
+    bool probing = false;
+    // Set when a crumb steal (see kMinStolenWork) left the worker backing
+    // off: the next scan looks at its own deque only, and failing that
+    // the worker naps — it does not steal the next crumb right away.
+    bool crumb = false;
+    const auto flush = [&]() -> bool {  // true: this flush ended the run
+      if (local_done == 0) return false;
+      const int prev = remaining.fetch_sub(static_cast<int>(local_done),
+                                           std::memory_order_acq_rel);
+      const bool last = prev == static_cast<int>(local_done);
+      local_done = 0;
+      if (last) {
+        all_done.store(true, std::memory_order_release);
+        wake_all();
+      }
+      return last;
+    };
+    for (;;) {
+      if (all_done.load(std::memory_order_acquire) ||
+          cancelled.load(std::memory_order_acquire))
+        return;
+      const long long steals_before = me.steals;
+      TaskId task = find_work(self, /*steal=*/!crumb);
+      crumb = false;
+      if (task < 0) {
+        if (flush()) return;
+        // Spin briefly before parking. In phased graphs (fork-join stages,
+        // panel barriers) the gap between releases is shorter than a
+        // sleep/wake round trip, so paying a few yields here avoids a
+        // futex wake plus two context switches per phase. NOT while
+        // backing off: on an oversubscribed CPU each yield with another
+        // runnable thread is a forced context switch, so a worker that
+        // keeps probing-and-yielding never reaches the park below and
+        // bleeds the busy worker's timeslices all run long — exactly the
+        // fork-join pathology the backoff exists to stop.
+        for (int spin = 0; spin < 64 && task < 0 && futile == 0; ++spin) {
+          if (all_done.load(std::memory_order_acquire) ||
+              cancelled.load(std::memory_order_acquire))
+            return;
+          std::this_thread::yield();
+          task = find_work(self, /*steal=*/true);
+        }
+      }
+      if (task < 0) {
+        if (probing) {
+          // The wake that preceded this scan delivered nothing.
+          probing = false;
+          ++futile;
+        }
+        if (futile < kFutileWakeLimit) {
+          // Out of work. Advertise idleness FIRST, then re-scan: a push
+          // that raced with the first scan either happened before the bit
+          // became visible (this second scan finds it) or after (the
+          // pusher sees the bit and wakes us). seq_cst on both sides makes
+          // the two cases exhaustive — no lost wakeup.
+          idle.set(self);
+          task = find_work(self, /*steal=*/true);
+          if (task < 0) {
+            me.parks++;
+            std::unique_lock<std::mutex> lk(me.sleep_mu);
+            me.sleep_cv.wait(lk, [&] {
+              return me.signalled ||
+                     all_done.load(std::memory_order_acquire) ||
+                     cancelled.load(std::memory_order_acquire);
+            });
+            me.signalled = false;
+            lk.unlock();
+            idle.clear(self);
+            probing = true;
+            continue;
+          }
+          idle.clear(self);
+        } else {
+          // Backoff: our recent wakes were all futile, so stop advertising
+          // (pushers keep their futex syscalls) and nap on a growing
+          // timeout. Not advertised ⇒ nobody signals us for ordinary
+          // pushes, but all_done/cancelled still wake_all(), so
+          // termination never waits on a nap; at worst, real new work
+          // sits un-stolen for one nap interval before the expiry rescan
+          // below finds it and starts decaying the backoff.
+          me.parks++;
+          const int shift = std::min(futile - kFutileWakeLimit, 6);
+          std::unique_lock<std::mutex> lk(me.sleep_mu);
+          me.sleep_cv.wait_for(
+              lk, std::chrono::microseconds(kNapBaseUs << shift), [&] {
                 return me.signalled ||
                        all_done.load(std::memory_order_acquire) ||
                        cancelled.load(std::memory_order_acquire);
               });
-              me.signalled = false;
-              lk.unlock();
-              idle.clear(self);
-              probing = true;
-              continue;
-            }
-            idle.clear(self);
-          } else {
-            // Backoff: our recent wakes were all futile, so stop
-            // advertising (pushers keep their futex syscalls) and nap on
-            // a growing timeout. Not advertised ⇒ nobody signals us for
-            // ordinary pushes, but all_done/cancelled still wake_all(),
-            // so termination never waits on a nap; at worst, real new
-            // work sits un-stolen for one nap interval before the expiry
-            // rescan below finds it and starts decaying the backoff.
-            me.parks++;
-            const int shift = std::min(futile - kFutileWakeLimit, 6);
-            std::unique_lock<std::mutex> lk(me.sleep_mu);
-            me.sleep_cv.wait_for(
-                lk, std::chrono::microseconds(kNapBaseUs << shift), [&] {
-                  return me.signalled ||
-                         all_done.load(std::memory_order_acquire) ||
-                         cancelled.load(std::memory_order_acquire);
-                });
-            me.signalled = false;
-            lk.unlock();
-            probing = true;
-            continue;
-          }
-        }
-
-        // Work in hand: decay the backoff by one step instead of
-        // resetting it. A single hit from a nap-expiry rescan (stealing
-        // the one task a phase briefly exposes) must not re-enter the
-        // advertise/wake/probe cycle that just proved futile — only a
-        // streak of consecutive successful finds, i.e. a genuine supply
-        // of stealable work, walks the worker back to eager wakes.
-        if (futile > 0) --futile;
-        probing = false;
-
-        if (nest && task >= n) {
-          // A child task: raw body, no graph ceremony (no trace span, no
-          // completion count, no release loop — the parent's sync() is
-          // the join point).
-          nest->run_child(task - n);
+          me.signalled = false;
+          lk.unlock();
+          probing = true;
           continue;
         }
+      }
 
-        // Run-on-finisher: run the task, and as long as it releases
-        // exactly one successor, keep executing the released task right
-        // here — a serial dependency chain becomes a loop of plain calls
-        // with no deque round trip, no divert and no wakeup per hop. The
-        // chain breaks on fan-out (>1 released), a sink (0 released), the
-        // depth cap, or cancellation.
-        int chain_depth = 0;
-        for (;;) {
-          if (!run_task(task, self)) return;
+      // Work in hand. A stolen task is judged by how long its body ran
+      // (kMinStolenWork): real work decays the backoff one step, a crumb
+      // counts as futile. Own-deque work leaves it alone.
+      const bool stolen = me.steals != steals_before;
+      probing = false;
+      const auto stolen_at = stolen ? std::chrono::steady_clock::now()
+                                    : std::chrono::steady_clock::time_point{};
+      const auto judge_steal = [&] {
+        if (!stolen) return;
+        if (std::chrono::steady_clock::now() - stolen_at < kMinStolenWork)
+          crumb = ++futile >= kFutileWakeLimit;
+        else if (futile > 0)
+          --futile;
+      };
 
-          // Remember who touched the output tile, then release
-          // successors — no lock anywhere on this path.
-          const int slot = slot_of(task);
-          if (slot >= 0)
-            last_writer[static_cast<std::size_t>(slot)].store(
-                self, std::memory_order_relaxed);
-          TaskId sole = -1;
-          int released = 0;
-          int pushed = 0;
-          for (const TaskId s : g.successors(task)) {
-            if (pending[static_cast<std::size_t>(s)].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-              if (++released == 1) {
-                sole = s;
-              } else {
-                if (sole >= 0) {
-                  pushed += push_ready(self, sole, /*allow_divert=*/true);
-                  sole = -1;
-                }
-                pushed += push_ready(self, s, /*allow_divert=*/true);
+      if (nest && task >= n) {
+        // A child task: raw body, no graph ceremony (no trace span, no
+        // completion count, no release loop — the parent's sync() is the
+        // join point).
+        nest->run_child(task - n);
+        judge_steal();
+        continue;
+      }
+
+      // Run-on-finisher: run the task, and as long as it releases exactly
+      // one successor, keep executing the released task right here — a
+      // serial dependency chain becomes a loop of plain calls with no
+      // deque round trip, no divert and no wakeup per hop. The chain
+      // breaks on fan-out (>1 released), a sink (0 released), the depth
+      // cap, cancellation, or a seeded cut in chaos mode.
+      int chain_depth = 0;
+      for (;;) {
+        if (!run_task(task, self)) return;
+        if (chain_depth == 0) judge_steal();
+
+        // Remember who touched the output tile, then release successors —
+        // no lock anywhere on this path.
+        const int slot = slot_of(task);
+        if (slot >= 0)
+          last_writer[static_cast<std::size_t>(slot)].store(
+              self, std::memory_order_relaxed);
+        TaskId sole = -1;
+        int released = 0;
+        int pushed = 0;
+        for (const TaskId s : g.successors(task)) {
+          if (pending[static_cast<std::size_t>(s)].fetch_sub(
+                  1, std::memory_order_acq_rel) == 1) {
+            if (++released == 1) {
+              sole = s;
+            } else {
+              if (sole >= 0) {
+                pushed += push_ready(self, sole, /*allow_divert=*/true);
+                sole = -1;
               }
+              pushed += push_ready(self, s, /*allow_divert=*/true);
             }
           }
-          ++local_done;
-          if (sole < 0) {
-            // Fan-out (or sink). This worker pops one of its fresh pushes
-            // itself; the surplus can feed idle workers, one targeted
-            // wakeup each. Keying wakes off this release (not total deque
-            // backlog) is safe: a worker only parks after its steal scan
-            // saw every deque empty, so any backlog beyond these pushes
-            // was already visible to — and declined by — every
-            // currently-idle worker. A sole-released successor never
-            // reaches the wake path at all: it is about to run inline (or
-            // be re-popped by this same worker at the depth cap), so a
-            // notify_one for it could only buy a futile wake.
-            for (int i = 1; i < pushed && wake_one_idle(self); ++i) {}
-            break;
-          }
-          if (chain_depth >= kInlineChainMax ||
-              cancelled.load(std::memory_order_acquire)) {
-            push_ready(self, sole, /*allow_divert=*/false);
-            break;
-          }
-          me.inline_runs++;
-          ++chain_depth;
-          task = sole;
         }
+        ++local_done;
+        if (sole < 0) {
+          // Fan-out (or sink). This worker pops one of its fresh pushes
+          // itself; the surplus can feed idle workers, one targeted wakeup
+          // each. Keying wakes off this release (not total deque backlog)
+          // is safe: a worker only parks after its steal scan saw every
+          // deque empty, so any backlog beyond these pushes was already
+          // visible to — and declined by — every currently-idle worker. A
+          // sole-released successor never reaches the wake path at all: it
+          // is about to run inline (or be re-popped by this same worker at
+          // a chain break), so a notify_one for it could only buy a futile
+          // wake.
+          for (int i = 1; i < pushed && wake_one_idle(self); ++i) {}
+          break;
+        }
+        if (chain_depth >= kInlineChainMax ||
+            cancelled.load(std::memory_order_acquire) ||
+            (chaos && perturber.decide(invert_p))) {
+          push_ready(self, sole, /*allow_divert=*/false);
+          break;
+        }
+        me.inline_runs++;
+        ++chain_depth;
+        task = sole;
       }
-    };
+    }
+  };
 
-    start_watchdog();
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker, w);
-    for (auto& th : pool) th.join();
-    for (const auto& w : ws) {
-      result.sched.steals += w->steals;
-      result.sched.diverted += w->diverted;
-      result.sched.wakeups += w->wakeups;
-      result.sched.parks += w->parks;
-      result.sched.inline_runs += w->inline_runs;
-      result.sched.divert_suppressed += w->divert_suppressed;
-    }
-    if (nest) {
-      for (const auto& lane : nest->lanes)
-        result.sched.nested_spawned += lane->spawned;
-    }
+  start_watchdog();
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(nthreads));
+  for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker, w);
+  for (auto& th : pool) th.join();
+  for (const auto& w : ws) {
+    result.sched.steals += w->steals;
+    result.sched.diverted += w->diverted;
+    result.sched.wakeups += w->wakeups;
+    result.sched.parks += w->parks;
+    result.sched.inline_runs += w->inline_runs;
+    result.sched.divert_suppressed += w->divert_suppressed;
+  }
+  if (nest) {
+    for (const auto& lane : nest->lanes)
+      result.sched.nested_spawned += lane->spawned;
   }
 
   if (wd_thread.joinable()) {

@@ -1,4 +1,4 @@
-// Shared-memory task executor: a priority-scheduled worker pool that runs a
+// Shared-memory task executor: a work-stealing worker pool that runs a
 // TaskGraph's bodies for real. This is the mode every numerical result in
 // PTLR is computed in; the virtual-cluster simulator reuses the same graphs
 // for distributed-scale studies.
@@ -23,8 +23,8 @@ struct ExecResult {
   /// Recovery events observed while this run executed (process-global
   /// snapshot diff: injected faults, retries, recoveries, watchdog fires).
   resil::RecoveryStats recovery;
-  /// Which engine ran, plus its steal/divert/wakeup/park counters (all
-  /// zero on the central engine).
+  /// Engine counters: steals, diverts, wakeups, parks, inline runs,
+  /// nested children.
   SchedStats sched;
 };
 
@@ -35,9 +35,9 @@ struct ExecOptions {
   /// graph (cycle, dangling successor, inconsistent predecessor counts)
   /// throws a descriptive ptlr::Error instead of deadlocking the pool.
   bool validate = true;
-  /// Chaos mode (see perturb.hpp): seeded random tie-breaking, forced
-  /// priority inversions and worker stalls. Defaults honour
-  /// PTLR_PERTURB_SEED so failing seeds replay without a recompile.
+  /// Chaos mode (see perturb.hpp): seeded priority inversions at pop,
+  /// steal-victim order, inline-chain cuts and worker stalls. Defaults
+  /// honour PTLR_PERTURB_SEED so failing seeds replay without a recompile.
   PerturbConfig perturb = PerturbConfig::from_env();
   /// Fault injection (see resilience/fault.hpp): transient task-body
   /// exceptions, simulated allocation failures, NaN output poisoning.
@@ -56,19 +56,16 @@ struct ExecOptions {
   /// workers to exit. Wire this to whatever can unblock stuck task bodies —
   /// e.g. Communicator::abort() when bodies block on mailbox receives.
   std::function<void()> on_stall;
-  /// Scheduler engine (see scheduler.hpp). kAuto consults PTLR_SCHED and
-  /// defaults to work-stealing; chaos mode and 1-thread runs always fall
-  /// back to the central queue regardless of this setting.
-  SchedulerKind sched = SchedulerKind::kAuto;
 };
 
 /// Execute every task in `g` respecting its dependencies, using `nthreads`
-/// worker threads. Among ready tasks, higher TaskInfo::priority runs first
-/// (unless perturbation inverts it). ptlr::TransientError failures of
-/// tasks with declared outputs are recovered by snapshot-restore + retry
-/// (opts.retry); any other exception cancels the run — pending tasks are
-/// skipped, the pool drains promptly, and the first error is rethrown on
-/// the calling thread.
+/// worker threads on the work-stealing engine (scheduler.hpp). Each worker
+/// drains its higher TaskInfo::priority bands first (unless perturbation
+/// inverts it); within a band the order is not a priority order.
+/// ptlr::TransientError failures of tasks with declared outputs are
+/// recovered by snapshot-restore + retry (opts.retry); any other exception
+/// cancels the run — pending tasks are skipped, the pool drains promptly,
+/// and the first error is rethrown on the calling thread.
 ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts);
 
 /// Back-compat convenience overload.

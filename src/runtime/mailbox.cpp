@@ -153,7 +153,13 @@ TaggedMessage Mailbox::recv_any(const std::vector<std::uint64_t>& tags,
 }
 
 void Mailbox::abort() {
-  aborted_.store(true, std::memory_order_release);
+  // Store under mu_: a receiver checks the flag and then waits while
+  // holding mu_, so a flag set and notified in between would be a lost
+  // wakeup and the receiver would block forever.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    aborted_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
 }
 

@@ -19,12 +19,13 @@
 //     models on the calling (parent) thread before spawning, and children
 //     only run the internal uncharged bodies — so obs span attribution is
 //     unchanged by where children execute.
-//   * Spawning is advisory: on a non-worker thread (serial contexts, the
-//     central engine, chaos mode) spawn() runs the body at the spawn point,
-//     so a nested kernel is *the same program* serially and in parallel.
-//     The decomposition itself must not depend on whether a context is
-//     present — callers gate chunking on problem shape only, which is what
-//     keeps nested-parallel results bitwise-identical to the serial oracle.
+//   * Spawning is advisory: on a thread without a worker context (serial
+//     contexts, a single-worker run) spawn() runs the body at the spawn
+//     point, so a nested kernel is *the same program* serially and in
+//     parallel. The decomposition itself must not depend on whether a
+//     context is present — callers gate chunking on problem shape only,
+//     which is what keeps nested-parallel results bitwise-identical to the
+//     serial oracle.
 //
 // PTLR_NESTED=off is the escape hatch: the executor then installs no
 // contexts and every spawn degenerates to a plain call.
@@ -146,7 +147,7 @@ class TaskGroup {
 
   /// Submit one child. On a ws worker the body is pushed onto the
   /// caller's child deque (stealable, LIFO for the owner); anywhere else
-  /// — serial contexts, the central engine, a dry slot pool — it runs
+  /// — serial contexts, a single-worker run, a dry slot pool — it runs
   /// right here, exceptions propagating directly.
   void spawn(std::function<void()> fn);
 

@@ -1,14 +1,15 @@
 // Schedule perturbation ("chaos mode") for the runtime layer.
 //
 // Interleaving-dependent bugs — races, lost wakeups, schedule-dependent
-// numerical divergence — hide behind the executor's deterministic
-// priority/insertion-order scheduling and the mailbox's FIFO delivery.
-// PerturbConfig injects seeded adversarial scheduling decisions (random
-// ready-queue tie-breaking, forced priority inversions, random worker
-// stalls, delayed message delivery) so any existing test can be replayed
-// across N seeded schedules. A failing seed reproduces the same *stream*
-// of perturbation decisions, which in practice re-triggers the same class
-// of interleaving.
+// numerical divergence — hide behind the executor's habitual schedules
+// (LIFO own-deque pops, fixed steal order, inline chains) and the
+// mailbox's FIFO delivery. PerturbConfig injects seeded adversarial
+// scheduling decisions (forced priority inversions, seeded steal victims,
+// cut inline chains, random worker stalls, delayed message delivery) so
+// any existing test can be replayed across N seeded schedules. A failing
+// seed reproduces the same *stream* of perturbation decisions, which in
+// practice re-triggers the same class of interleaving; with one worker it
+// replays the exact schedule.
 #pragma once
 
 #include <atomic>
@@ -27,8 +28,11 @@ struct PerturbConfig {
   double stall_probability = 0.15;
   int max_stall_us = 200;  ///< stall duration drawn uniformly in [0, max]
 
-  /// Probability that a pop ignores priorities entirely and dequeues a
-  /// uniformly random ready task — a forced priority inversion.
+  /// Probability that a pop takes the oldest task of a random non-empty
+  /// priority band instead of the newest task of the highest one — a
+  /// forced priority inversion. Also the probability that the executor
+  /// cuts an inline chain, pushing the sole released successor instead of
+  /// running it on the finishing worker.
   double inversion_probability = 0.25;
 
   /// Probability that a mailbox deposit is delayed before it becomes
@@ -68,7 +72,7 @@ class Perturber {
   /// True with probability `p` (always false when disabled).
   bool decide(double p);
 
-  /// Uniform draw in [0, 1) — used as a random ready-queue tie-break.
+  /// Uniform draw in [0, 1).
   double uniform();
 
   /// Uniform integer in [0, n) for n >= 1.

@@ -1,47 +1,13 @@
-// Scheduler selection and shared policy pieces for the shared-memory
-// executor (see executor.cpp for the engines themselves).
-//
-// Two schedulers coexist:
-//
-//   * central — the original single-lock central priority queue. Exact
-//     priority order, sequentially consistent, and the only engine the
-//     Perturber can steer deterministically, so chaos mode (and therefore
-//     the seeded TSan perturbation sweeps) always runs on it.
-//   * ws — per-worker Chase–Lev deques with lock-free dependency release,
-//     priority bands, locality-directed placement and targeted wakeups.
-//     The default: task throughput no longer serializes on one mutex.
-//
-// PTLR_SCHED=central|ws selects the engine process-wide (A/B benchmarking
-// without a recompile); ExecOptions::sched overrides it per run.
+// Shared policy pieces of the shared-memory executor's work-stealing
+// engine (see executor.cpp): per-worker Chase–Lev deques in priority
+// bands, lock-free dependency release, locality-directed placement and
+// targeted wakeups. Every run — one worker or many, chaos mode or not —
+// goes through this one engine.
 #pragma once
-
-#include <cstdint>
 
 namespace ptlr::rt {
 
 class TaskGraph;
-
-/// Which ready-task engine execute() uses.
-enum class SchedulerKind : std::uint8_t {
-  kAuto = 0,         ///< resolve from PTLR_SCHED (unset → work-stealing)
-  kCentral = 1,      ///< single-lock central priority queue
-  kWorkStealing = 2, ///< per-worker lock-free deques
-};
-
-/// Reads PTLR_SCHED: "central" or "ws"; unset/empty defaults to
-/// work-stealing. Any other value throws ptlr::Error (a typo silently
-/// changing the scheduler would invalidate an A/B experiment).
-SchedulerKind scheduler_from_env();
-
-/// The engine a run will actually use: kAuto consults PTLR_SCHED, then
-/// chaos mode and single-worker runs fall back to central — the Perturber
-/// owns the schedule there (seeded replays stay valid), and one worker
-/// has nobody to steal from but still wants exact priority order.
-SchedulerKind resolve_scheduler(SchedulerKind requested, int nthreads,
-                                bool perturb_enabled);
-
-/// Human-readable engine name ("central" / "ws") for reports and JSON.
-const char* scheduler_name(SchedulerKind k);
 
 /// Number of priority bands per worker deque. Tasks are binned by
 /// TaskInfo::priority; workers drain higher bands first, so critical-path
@@ -49,6 +15,14 @@ const char* scheduler_name(SchedulerKind k);
 /// Cholesky graph) preempt the GEMM update soup without a total order —
 /// matching the PaRSEC priority scheme the paper relies on.
 inline constexpr int kSchedBands = 4;
+
+/// Run-on-finisher chain cap: how many sole-released successors a worker
+/// executes back-to-back before breaking the chain with a real push. The
+/// cap bounds unfairness (a chain monopolizing one worker while higher
+/// bands wait in its deque) and keeps the watchdog's ready/running dump
+/// honest on pathological million-task chains. A serial chain of n tasks
+/// therefore shows n - ceil(n / (kInlineChainMax + 1)) inline runs.
+inline constexpr int kInlineChainMax = 256;
 
 /// Linear priority→band binning computed once per run from the graph's
 /// priority range. A flat graph (all priorities equal) maps to band 0.
@@ -74,10 +48,8 @@ class BandMap {
   bool flat_ = true;
 };
 
-/// Work-stealing engine counters, reported per run in ExecResult. All
-/// zero on the central engine.
+/// Engine counters, reported per run in ExecResult.
 struct SchedStats {
-  SchedulerKind scheduler = SchedulerKind::kCentral;  ///< engine used
   long long steals = 0;            ///< tasks taken from another worker
   long long diverted = 0;          ///< releases routed to the locality hint
   long long wakeups = 0;           ///< targeted single-worker wakeups
@@ -87,9 +59,9 @@ struct SchedStats {
   /// chain should show ~every non-root task here.
   long long inline_runs = 0;
   /// Ready pushes that skipped the locality-divert heuristic because they
-  /// broke an inline chain (depth cap / cancellation): scattering a chain
-  /// task to another worker's inbox would just resume the ping-pong the
-  /// inline path exists to kill.
+  /// broke an inline chain (depth cap / cancellation / chaos cut):
+  /// scattering a chain task to another worker's inbox would just resume
+  /// the ping-pong the inline path exists to kill.
   long long divert_suppressed = 0;
   /// Child tasks pushed into worker deques by running parents (nested
   /// task parallelism; pool-dry inline fallbacks are not counted).

@@ -1,9 +1,9 @@
 #include "tlr/tlr_matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <thread>
+#include <string>
+
+#include "runtime/executor.hpp"
 
 namespace ptlr::tlr {
 
@@ -86,24 +86,24 @@ TlrMatrix TlrMatrix::from_problem_parallel(
   TlrMatrix m(prob.n(), tile_size);
   m.acc_ = acc;
   m.band_size_ = band_size;
-  const int total = m.nt_ * (m.nt_ + 1) / 2;
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= total) return;
-      // Unpack the packed lower-triangle index.
-      int i = static_cast<int>((std::sqrt(8.0 * t + 1.0) - 1.0) / 2.0);
-      while ((i + 1) * (i + 2) / 2 <= t) ++i;
-      const int j = t - i * (i + 1) / 2;
-      m.at(i, j) =
-          build_tile(prob, m, i, j, acc, band_size, method, method_seed);
+  // One task per tile. Tiles are disjoint, so the graph has no edges; the
+  // compressed (off-band) tiles get the higher priority band so the cheap
+  // dense copies fill in at the end instead of leaving a long compression
+  // as the last straggler.
+  rt::TaskGraph g;
+  for (int i = 0; i < m.nt_; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      rt::TaskInfo t;
+      t.name = "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
+      t.priority = on_band(i, j, band_size) ? 0.0 : 1.0;
+      t.fn = [&, i, j] {
+        m.at(i, j) =
+            build_tile(prob, m, i, j, acc, band_size, method, method_seed);
+      };
+      g.add_task(std::move(t), {}, {});
     }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(nthreads));
-  for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
+  }
+  rt::execute(g, nthreads);
   return m;
 }
 

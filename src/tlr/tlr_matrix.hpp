@@ -42,9 +42,10 @@ class TlrMatrix {
       std::uint64_t method_seed = 7);
 
   /// Parallel variant: generation + compression of the tiles as one task
-  /// per tile on `nthreads` workers (how PaRSEC parallelizes the paper's
-  /// matrix-generation and regeneration steps). Deterministic: equals the
-  /// sequential from_problem for the same inputs.
+  /// per tile on the shared-memory executor (rt::execute) with `nthreads`
+  /// workers — how PaRSEC parallelizes the paper's matrix-generation and
+  /// regeneration steps. Deterministic: bitwise equal to the sequential
+  /// from_problem for the same inputs.
   static TlrMatrix from_problem_parallel(
       const stars::CovarianceProblem& prob, int tile_size,
       const compress::Accuracy& acc, int nthreads, int band_size = 1,

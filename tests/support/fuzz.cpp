@@ -89,8 +89,8 @@ TaskId FuzzProgram::add_op(TaskInfo info, Op op) {
 namespace {
 
 // Parallel evaluation of a nested-children tree: spawn each child through
-// rt::TaskGroup (inline when no worker context is installed — central
-// engine, chaos mode, plain threads), grandchildren recursively from
+// rt::TaskGroup (inline when no worker context is installed — a
+// single-worker run, plain threads), grandchildren recursively from
 // inside the child. Count slots and private write cells are disjoint per
 // child, so concurrent execution is race-free by construction.
 void run_children_par(std::vector<double>& cells,

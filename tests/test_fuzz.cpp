@@ -83,10 +83,11 @@ TEST_P(PerturbFuzz, BandCholeskyShapeMatchesOracle) {
 }
 
 TEST_P(PerturbFuzz, NestedShapeMatchesOracle) {
-  // Tasks spawning child subgraphs through rt::TaskGroup: chaos mode runs
-  // on the central engine, where no worker context is installed and every
-  // spawn degrades to an inline call — the oracle and the exactly-once
-  // contract must hold there just as on the ws deques.
+  // Tasks spawning child subgraphs through rt::TaskGroup under chaos: at
+  // 2 and 4 workers the children go through the perturbed worker deques
+  // (seeded steal victims, stalls), at 1 worker every spawn degrades to an
+  // inline call — the oracle and the exactly-once contract must hold in
+  // both.
   Rng rng(seed());
   auto p = FuzzProgram::nested(rng, 100, 10, 4);
   for (const int nthreads : {1, 2, 4}) {
