@@ -2,15 +2,16 @@
 //
 // compress(): dense tile → U·Vᵀ at an accuracy threshold, the STARS-H
 // compression step of Section III-B. Implemented as truncated column-
-// pivoted QR (cheap rank discovery) followed by an SVD polish of the small
-// triangular factor, so the returned rank is the minimal rank meeting the
-// threshold in the Frobenius norm.
+// pivoted QR to tol/2 (cheap rank discovery) followed by an SVD polish of
+// the small triangular factor at the remaining budget, so the returned
+// rank is the minimal rank meeting the threshold in the Frobenius norm
+// (up to one column).
 //
 // recompress(): rounds a (possibly rank-inflated) U·Vᵀ back to minimal rank
-// via the classical QR+QR+small-SVD scheme — the "recompression" stage that
-// dominates TLR GEMM at high rank (Section IV, Fig. 2a) and that splits the
-// LR GEMM kernels into two stages for dynamic memory designation
-// (Section VII-B).
+// via QRs of both factors and the same truncation on the small core — the
+// "recompression" stage that dominates TLR GEMM at high rank (Section IV,
+// Fig. 2a) and that splits the LR GEMM kernels into two stages for dynamic
+// memory designation (Section VII-B).
 #pragma once
 
 #include <cstdint>
@@ -91,9 +92,10 @@ std::optional<LowRankFactor> compress(dense::ConstMatrixView a,
 /// Exact numerical rank of a block at threshold `acc` (no factor built).
 int numerical_rank(dense::ConstMatrixView a, const Accuracy& acc);
 
-/// Round an existing factor down to minimal rank at `acc`. Returns the new
-/// rank. Cost: O(b·k²) QRs plus an O(k³) SVD — the Table I constants of the
-/// (5)/(6)-GEMM kernels come from this step.
+/// Round an existing factor down to minimal rank at `acc` (acc.maxrank is
+/// not applied). Returns the new rank; without a reduction the factor is
+/// left untouched. Cost: O(b·k²) QRs, then an O(k³) pivoted QR of the core
+/// and a Jacobi SVD on only its surviving columns.
 int recompress(LowRankFactor& f, const Accuracy& acc);
 
 /// ‖A − U·Vᵀ‖_F, for accuracy validation in tests.

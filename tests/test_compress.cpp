@@ -28,7 +28,7 @@ TEST(Compress, MeetsFrobeniusThreshold) {
     Matrix a = random_lowrank(50, 50, 25, 1e-12, rng);
     auto f = compress(a.view(), {tol, 1 << 30});
     ASSERT_TRUE(f.has_value());
-    EXPECT_LE(approximation_error(a.view(), *f), tol * 1.5)
+    EXPECT_LE(approximation_error(a.view(), *f), tol * (1 + 1e-6))
         << "tol=" << tol;
   }
 }
@@ -84,7 +84,7 @@ TEST(Compress, CovarianceTileRoundTripAtScaledAccuracy) {
   ASSERT_TRUE(f.has_value());
   EXPECT_GT(f->rank(), 0);
   EXPECT_LT(f->rank(), 64);
-  EXPECT_LE(approximation_error(tile.view(), *f), 1e-4 * 2);
+  EXPECT_LE(approximation_error(tile.view(), *f), 1e-4 * (1 + 1e-6));
 }
 
 TEST(Compress, NumericalRankMatchesSpectrum) {
@@ -135,7 +135,7 @@ TEST(Recompress, RespectsLooserTolerance) {
   const int k_before = f->rank();
   const int k_after = recompress(*f, {1e-3, 1 << 30});
   EXPECT_LT(k_after, k_before);
-  EXPECT_LE(approximation_error(a.view(), *f), 1e-3 * 1.5);
+  EXPECT_LE(approximation_error(a.view(), *f), 1e-3 * (1 + 1e-6));
 }
 
 TEST(Recompress, RankZeroIsStable) {
@@ -165,10 +165,15 @@ TEST_P(CompressSweep, ErrorAlwaysWithinTolerance) {
   const double tol = 1e-7;
   auto f = compress(a.view(), {tol, 1 << 30});
   ASSERT_TRUE(f);
-  EXPECT_LE(approximation_error(a.view(), *f), tol * 2);
-  // Recompression at the same tolerance must not raise the error.
+  EXPECT_LE(approximation_error(a.view(), *f), tol * (1 + 1e-6));
+  // Recompression keeps the same contract against the factor it rounds.
+  // Against `a` the two roundings compound, up to 2·tol by the triangle
+  // inequality: a singular value of f just below tol (kept by compress,
+  // whose QR tail spent part of the budget) may be dropped by recompress.
   auto g = *f;
   recompress(g, {tol, 1 << 30});
+  const Matrix fd = f->to_dense();
+  EXPECT_LE(approximation_error(fd.view(), g), tol * (1 + 1e-6));
   EXPECT_LE(approximation_error(a.view(), g), tol * 2);
 }
 

@@ -2,11 +2,12 @@
 //
 // Property-based fuzzing of every compression backend over synthetic
 // matrices with prescribed singular-value decay, degenerate-shape and
-// non-finite-input edge cases, the adaptive randomized engine's unit
-// contract (estimator early stop, policy gates, fallback, PTLR_COMPRESS
-// parsing), seed-stability regressions for the randomized paths, and an
-// 8-seed chaos sweep asserting the adaptive hot path is schedule-invariant
-// end to end.
+// non-finite-input edge cases, deterministic recompression of b = 256
+// rank-inflated factors (rank, error and flop bounds), the adaptive
+// randomized engine's unit contract (estimator early stop, policy gates,
+// fallback, PTLR_COMPRESS parsing), seed-stability regressions for the
+// randomized paths, and an 8-seed chaos sweep asserting the adaptive hot
+// path is schedule-invariant end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/flops.hpp"
 #include "compress/adaptive.hpp"
 #include "compress/compress.hpp"
 #include "compress/methods.hpp"
@@ -118,9 +120,9 @@ TEST_P(SpectrumFuzz, ErrorMeetsToleranceAndRankIsNearMinimal) {
   auto f = compress_with(method, a.view(), {tol, 1 << 30}, mrng);
   ASSERT_TRUE(f) << to_string(method) << " on " << spectrum_name(kind);
 
-  // Error bound: deterministic backends land essentially at the
-  // truncation target; the randomized/heuristic ones carry sketch slack.
-  const double factor = method == Method::kCpqrSvd ? 2.0 : 5.0;
+  // Error bound: the deterministic backend meets the truncation target;
+  // the randomized/heuristic ones carry sketch slack.
+  const double factor = method == Method::kCpqrSvd ? 1 + 1e-6 : 5.0;
   EXPECT_LE(approximation_error(a.view(), *f), tol * factor)
       << to_string(method) << " on " << spectrum_name(kind);
 
@@ -209,6 +211,110 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, MethodEdge,
                          ::testing::Values(Method::kCpqrSvd, Method::kRsvd,
                                            Method::kAca,
                                            Method::kAdaptiveRsvd));
+
+// ------------------------------------- deterministic recompression ----
+
+namespace {
+
+// A b-by-b product of rank at most s.size() carried by k_in columns, the
+// shape the (5)-GEMM hands recompress(): U = Qx·diag(s)·Wxᵀ and V = Qy·Wyᵀ
+// with random orthonormal Qx, Qy (b-wide) and Wx, Wy (k_in-wide), so every
+// column of the concatenation overlaps every other in span.
+LowRankFactor inflated_product(int b, const std::vector<double>& s, int k_in,
+                               Rng& rng) {
+  Matrix u = matrix_with_spectrum(b, k_in, s, rng);
+  Matrix v = matrix_with_spectrum(b, k_in, std::vector<double>(s.size(), 1.0),
+                                  rng);
+  return LowRankFactor{std::move(u), std::move(v)};
+}
+
+std::vector<double> graded(int r, double last) {
+  std::vector<double> s;
+  for (int i = 0; i < r; ++i)
+    s.push_back(std::pow(last, static_cast<double>(i) / (r - 1)));
+  return s;
+}
+
+struct InflatedCase {
+  const char* name;
+  std::vector<double> s;  // singular values of U
+  int k_in;
+};
+
+std::vector<InflatedCase> inflated_cases() {
+  std::vector<double> deficient = graded(48, 1e-3);
+  deficient.resize(96, 0.0);  // exact rank 48 carried by a 96-wide basis
+  return {{"graded-2r", graded(128, 1e-12), 256},
+          {"graded-slow", graded(160, 1e-7), 240},
+          {"rank-deficient", deficient, 192},
+          {"k-in-above-b", graded(160, 1e-14), 320}};
+}
+
+}  // namespace
+
+class RecompressBattery
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(RecompressBattery, RoundsToTheExactRankWithinTolerance) {
+  const auto [which, tol] = GetParam();
+  const InflatedCase c = inflated_cases()[which];
+  const int b = 256;
+  Rng rng(201 + which);
+  LowRankFactor f = inflated_product(b, c.s, c.k_in, rng);
+  const Matrix a = f.to_dense();
+  const int exact_rank = truncation_rank(singular_values(a.view()), tol);
+
+  const int knew = recompress(f, {tol, 1 << 30});
+  EXPECT_EQ(knew, f.rank()) << c.name;
+  EXPECT_GE(knew, exact_rank) << c.name;
+  EXPECT_LE(knew, exact_rank + 1) << c.name;
+  EXPECT_LE(approximation_error(a.view(), f), tol * (1 + 1e-6)) << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(InflatedB256, RecompressBattery,
+                         ::testing::Combine(::testing::Range(0, 4),
+                                            ::testing::Values(1e-6, 1e-8)));
+
+TEST(RecompressBattery, NoReductionLeavesTheFactorUntouched) {
+  Rng rng(211);
+  // Rank 64 carried by exactly 64 columns, all far above the tolerance.
+  LowRankFactor f = inflated_product(256, graded(64, 1e-2), 64, rng);
+  const LowRankFactor before = f;
+  EXPECT_EQ(recompress(f, {1e-10, 1 << 30}), 64);
+  ASSERT_EQ(f.rank(), 64);
+  EXPECT_EQ(frob_diff(f.u.view(), before.u.view()), 0.0);
+  EXPECT_EQ(frob_diff(f.v.view(), before.v.view()), 0.0);
+}
+
+TEST(RecompressBattery, ChargesLessThanTheSquareCoreJacobi) {
+  // A 256-by-2r inflated factor: what the square-core scheme paid for its
+  // SVD alone — Jacobi on the full 2r-by-2r core Ru·Rvᵀ — bounds what
+  // recompress() now charges in total.
+  const int b = 256, r = 64;
+  Rng rng(212);
+  LowRankFactor f = inflated_product(b, graded(r, 1e-12), 2 * r, rng);
+  Matrix qu = f.u, qv = f.v;
+  std::vector<double> tau;
+  geqrf(qu.view(), tau);
+  geqrf(qv.view(), tau);
+  Matrix ru(2 * r, 2 * r), rv(2 * r, 2 * r), core(2 * r, 2 * r);
+  for (int j = 0; j < 2 * r; ++j)
+    for (int i = 0; i <= j; ++i) {
+      ru(i, j) = qu(i, j);
+      rv(i, j) = qv(i, j);
+    }
+  gemm(Trans::N, Trans::T, 1.0, ru.view(), rv.view(), 0.0, core.view());
+  ptlr::flops::Counter::reset_thread_flops();
+  (void)jacobi_svd(core.view());
+  const double square_core_svd = ptlr::flops::Counter::thread_flops();
+
+  ptlr::flops::Counter::reset_thread_flops();
+  const int knew = recompress(f, {1e-8, 1 << 30});
+  const double charged = ptlr::flops::Counter::thread_flops();
+  EXPECT_LT(knew, 2 * r);
+  EXPECT_GT(charged, 0.0);
+  EXPECT_LT(charged, square_core_svd);
+}
 
 // ------------------------------------------------- adaptive engine unit ----
 

@@ -181,11 +181,11 @@ TEST_F(ObsTest, LowRankKernelFlopsWithinRankDependentBounds) {
     EXPECT_GT(row.flops, 0.0) << obs::kernel_name(static_cast<int>(k));
     // Rank-dependent work is bounded by a dense-tile blowup: each task
     // touches O(b^3)-scale factors even with recompression overheads. The
-    // recompression SVD dominates: a Jacobi sweep over a core of order at
-    // most b costs about 7 b^3 flops (one dot and two rotations per pair),
-    // and rank-deficient cores take up to about 25 sweeps.
+    // heaviest class here, (6)-GEMM, averages about 34 b^3 per task since
+    // recompression truncates its core by pivoted QR before the Jacobi
+    // SVD; the bound leaves 2x headroom over that.
     EXPECT_LT(row.flops,
-              static_cast<double>(row.count) * 200.0 * b * b * b)
+              static_cast<double>(row.count) * 70.0 * b * b * b)
         << obs::kernel_name(static_cast<int>(k));
     // Reported ranks are sane: within [0, b] and min <= mean <= max.
     if (row.rank_tasks > 0) {
