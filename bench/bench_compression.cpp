@@ -190,7 +190,6 @@ int main(int argc, char** argv) {
         cfg.acc = acc;
         cfg.compress = CompressPolicy::parse(e.spec);
         cfg.band_size = 1;  // thin band: recompression-heavy LR updates
-        cfg.recursive_all = false;
         cfg.nthreads = sc.threads;
         obs::reset();
         obs::enable(true);

@@ -65,8 +65,6 @@ int main() {
     CholeskyConfig cfg;
     cfg.acc = {sc.tol, 1 << 30};
     cfg.band_size = is_new ? 0 : 1;
-    cfg.recursive_all = is_new;
-    cfg.recursive_block = sc.b / 4;
     cfg.nthreads = sc.threads;
     cfg.record_trace = true;
     return factorize(a, &prob, cfg);

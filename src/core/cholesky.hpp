@@ -31,9 +31,6 @@ struct CholeskyConfig {
   /// Dense band width; 0 runs the Algorithm 1 auto-tuner.
   int band_size = 0;
   double fluctuation_lo = 0.67;   ///< auto-tuner box bound (Section V-B)
-  bool recursive_all = true;      ///< PaRSEC-HiCMA-New recursion
-  bool recursive_potrf = false;   ///< PaRSEC-HiCMA-Prev recursion
-  int recursive_block = 0;        ///< 0 → tile_size/4
   int nthreads = 2;
   bool record_trace = false;
   /// Chaos mode for the worker pool (see runtime/perturb.hpp): replay the

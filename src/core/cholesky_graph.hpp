@@ -8,12 +8,14 @@
 //   * owners from a pluggable data distribution (Section VII-C), which
 //     classifies every dataflow edge LOCAL or REMOTE (Section VII-A),
 //   * optional recursive formulations of all region-(1) kernels
-//     (Section VII-D), generated as split → sub-kernels → merge sub-DAGs so
-//     concurrency inside band tiles is exposed to the scheduler.
+//     (Section VII-D), modelled as split → sub-kernels → merge sub-DAGs so
+//     the simulator sees the concurrency inside band tiles.
 //
 // The same generator serves both execution modes: with a TlrMatrix it
-// attaches real hcore bodies (shared-memory runs); with only a RankMap it
-// attaches modelled durations and message sizes (virtual-cluster runs).
+// attaches real hcore bodies (shared-memory runs), one task per tile
+// kernel — the dense band kernels split themselves into nested children
+// at run time (runtime/nested.hpp); with only a RankMap it attaches
+// modelled durations and message sizes (virtual-cluster runs).
 #pragma once
 
 #include "core/cost_model.hpp"
@@ -28,11 +30,12 @@ namespace ptlr::core {
 struct GraphOptions {
   compress::Accuracy acc{1e-8, 1 << 30};  ///< recompression accuracy
   /// Recursive formulation of all region-(1) kernels (POTRF, TRSM, SYRK,
-  /// GEMM) — the PaRSEC-HiCMA-New behaviour.
+  /// GEMM) — the PaRSEC-HiCMA-New behaviour. Modelled graphs only.
   bool recursive_all = false;
-  /// Recursive POTRF only — the PaRSEC-HiCMA-Prev behaviour.
+  /// Recursive POTRF only — the PaRSEC-HiCMA-Prev behaviour. Modelled
+  /// graphs only.
   bool recursive_potrf = false;
-  /// Sub-block size for recursion; 0 picks tile_size/4.
+  /// Sub-block size for recursion; 0 picks max(tile_size/4, 16).
   int recursive_block = 0;
   /// Tile owners; nullptr places everything on process 0.
   const rt::Distribution* dist = nullptr;
@@ -49,7 +52,9 @@ struct GraphStats {
 };
 
 /// Build the graph with real hcore bodies operating on `mat` (shared-memory
-/// execution mode). Formats/ranks are taken from the matrix itself.
+/// execution mode), one task per tile kernel, each carrying recovery hooks.
+/// Formats/ranks are taken from the matrix itself. `opt.recursive_*` must
+/// be false.
 rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
                                    const GraphOptions& opt,
                                    GraphStats* stats = nullptr);
@@ -65,14 +70,5 @@ rt::TaskGraph build_cholesky_graph(const RankMap& ranks,
 rt::TaskGraph build_cholesky_graph_no_tlr_gemm(const RankMap& ranks,
                                                const GraphOptions& opt,
                                                GraphStats* stats = nullptr);
-
-/// The same modelled graph expressed through the PTG/JDF front-end
-/// (rt::ptg) instead of imperative insertion — the programming model the
-/// paper's JDF uses (Section III-C). Supports the non-recursive kernel set;
-/// produces a DAG equivalent to build_cholesky_graph for the same inputs
-/// (tested). `opt.recursive_*` must be false.
-rt::TaskGraph build_cholesky_graph_ptg(const RankMap& ranks,
-                                       const GraphOptions& opt,
-                                       GraphStats* stats = nullptr);
 
 }  // namespace ptlr::core

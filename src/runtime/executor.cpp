@@ -243,9 +243,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     perturber.maybe_stall();
     const TaskInfo& info = g.info(task);
     // Only tasks that declared their outputs are fault-targets: recovery
-    // needs the snapshots, and tasks without output hooks (the recursive
-    // sub-block tasks, which alias one tile's storage across concurrent
-    // writers) cannot be safely restored.
+    // needs the snapshots to restore them.
     const bool inject = injector.enabled() && !info.outputs.empty() &&
                         opts.retry.max_retries > 0;
     std::vector<std::vector<char>> snapshots;
@@ -444,7 +442,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   // worker gets no substrate: nobody could steal its children, so spawns
   // run at the spawn point and the kernels skip their chunking.
   std::unique_ptr<detail::NestedEngine> nest;
-  if (nested_enabled() && nthreads > 1) {
+  if (nthreads > 1) {
     nest = std::make_unique<detail::NestedEngine>(nthreads);
     nest->wake = [&wake_one_idle](int spawner) { wake_one_idle(spawner); };
   }

@@ -1,11 +1,7 @@
 #include "runtime/nested.hpp"
 
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <utility>
-
-#include "common/error.hpp"
 
 namespace ptlr::rt {
 
@@ -99,16 +95,6 @@ std::int32_t NestedEngine::steal_child(int self) {
 }
 
 }  // namespace detail
-
-bool nested_enabled() {
-  const char* env = std::getenv("PTLR_NESTED");
-  if (env == nullptr || env[0] == '\0') return true;
-  const std::string v(env);
-  if (v == "1" || v == "on") return true;
-  if (v == "0" || v == "off") return false;
-  throw Error("PTLR_NESTED: expected 'on'/'1' or 'off'/'0', got \"" + v +
-              "\"");
-}
 
 bool nested_available() noexcept {
   return detail::current_context() != nullptr;

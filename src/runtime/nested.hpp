@@ -27,8 +27,9 @@
 //     which is what keeps nested-parallel results bitwise-identical to the
 //     serial oracle.
 //
-// PTLR_NESTED=off is the escape hatch: the executor then installs no
-// contexts and every spawn degenerates to a plain call.
+// The executor installs the substrate on every run with more than one
+// worker. A one-worker run gets none, so every spawn is a plain call:
+// that run is the no-children oracle the parallel runs match bitwise.
 #pragma once
 
 #include <atomic>
@@ -122,11 +123,6 @@ class ContextGuard {
 };
 
 }  // namespace detail
-
-/// Reads PTLR_NESTED: unset/"1"/"on" → enabled, "0"/"off" → disabled; any
-/// other value throws ptlr::Error (a typo must not silently change an A/B
-/// run). Not cached — execute() consults it once per run.
-[[nodiscard]] bool nested_enabled();
 
 /// True when the calling thread is a ws worker that accepts child tasks
 /// (i.e. a TaskGroup spawned here would actually run in parallel). The

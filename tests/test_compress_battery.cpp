@@ -593,7 +593,6 @@ TEST(ScheduleInvariance, AdaptiveHotPathSurvivesEightSeedChaosSweep) {
         CompressPolicy::parse("method=adaptive,min_dim=16,min_rank=2,block=8");
     cfg.band_size = 2;
     cfg.nthreads = threads;
-    cfg.recursive_all = false;
     cfg.perturb = perturb;
     cfg.faults = resil::FaultConfig{};
     cfg.watchdog = resil::WatchdogConfig{};

@@ -3,12 +3,16 @@
 // virtual-cluster simulation, solves and the MLE pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <numbers>
 #include <set>
+#include <string>
 
+#include "common/flops.hpp"
 #include "core/band_tuner.hpp"
 #include "core/cholesky.hpp"
 #include "core/mle.hpp"
@@ -196,6 +200,63 @@ TEST(CholeskyGraph, RecursionAddsSubTasks) {
   EXPECT_NEAR(s1.model_flops, s2.model_flops, 1e-6 * s1.model_flops);
 }
 
+TEST(CholeskyGraph, RealBuildRejectsRecursiveOptions) {
+  // Recursive sub-DAGs are a simulation model; a real build splits band
+  // kernels through nested children instead and refuses the options.
+  auto prob = test_problem(128);
+  auto a = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 2);
+  GraphOptions all, potrf;
+  all.recursive_all = true;
+  potrf.recursive_potrf = true;
+  EXPECT_THROW(build_cholesky_graph(a, all), ptlr::Error);
+  EXPECT_THROW(build_cholesky_graph(a, potrf), ptlr::Error);
+  EXPECT_NO_THROW(build_cholesky_graph(a, GraphOptions{}));
+}
+
+TEST(CholeskyGraph, OnlyTheModelledRecursionAddsStructuralTasks) {
+  // Split/merge tasks (kind -1) exist only in the simulator's model of the
+  // recursive kernels; such a graph has no bodies to run.
+  auto map = hard_map(6, 128);
+  map.set_band(2);
+  GraphOptions plain, rec;
+  CostModel cm({1e9, 1e9});
+  plain.cost = rec.cost = &cm;
+  rec.recursive_all = true;
+  rec.recursive_block = 32;
+  const auto g1 = build_cholesky_graph(map, plain);
+  const auto g2 = build_cholesky_graph(map, rec);
+  int structural = 0;
+  for (rt::TaskId t = 0; t < g1.size(); ++t)
+    EXPECT_GE(g1.info(t).kind, 0) << g1.info(t).name;
+  for (rt::TaskId t = 0; t < g2.size(); ++t) {
+    if (g2.info(t).kind < 0) ++structural;
+    EXPECT_FALSE(static_cast<bool>(g2.info(t).fn)) << g2.info(t).name;
+  }
+  EXPECT_GT(structural, 0);
+}
+
+TEST(CholeskyGraph, EveryRealTaskIsOneRecoverableKernel) {
+  // At band 1, 2 and nt (fully dense) a real graph holds one task per tile
+  // kernel, each with a body, a Table I kernel class and recovery hooks.
+  auto prob = test_problem(192, 23);
+  const auto orig = tlr::TlrMatrix::from_problem(prob, 32, {1e-6, 1 << 30}, 1);
+  const int nt = orig.nt();
+  for (const int band : {1, 2, nt}) {
+    auto a = orig;
+    a.densify_band(band, &prob);
+    const auto g = build_cholesky_graph(a, GraphOptions{});
+    EXPECT_EQ(g.size(), nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6)
+        << "band " << band;
+    for (rt::TaskId t = 0; t < g.size(); ++t) {
+      const auto& info = g.info(t);
+      EXPECT_TRUE(static_cast<bool>(info.fn)) << info.name;
+      EXPECT_FALSE(info.outputs.empty()) << info.name;
+      EXPECT_GE(info.kind, 0) << info.name;
+      EXPECT_LT(info.kind, flops::kNumKernels) << info.name;
+    }
+  }
+}
+
 TEST(CholeskyGraph, EdgeClassificationDependsOnDistribution) {
   auto map = easy_map(12, 64);
   CostModel cm({1e9, 1e9});
@@ -259,7 +320,6 @@ double backward_error(const stars::CovarianceProblem& prob,
 
 struct FactorizeCase {
   int n, b, band, threads;
-  bool recursive;
   double tol;
 };
 
@@ -273,8 +333,6 @@ TEST_P(FactorizeTest, ParallelFactorizationIsAccurate) {
   CholeskyConfig cfg;
   cfg.acc = acc;
   cfg.band_size = p.band;
-  cfg.recursive_all = p.recursive;
-  cfg.recursive_block = 16;
   cfg.nthreads = p.threads;
   auto res = factorize(a, &prob, cfg);
   EXPECT_GE(res.band_size, 1);
@@ -285,12 +343,12 @@ TEST_P(FactorizeTest, ParallelFactorizationIsAccurate) {
 INSTANTIATE_TEST_SUITE_P(
     Configurations, FactorizeTest,
     ::testing::Values(
-        FactorizeCase{128, 32, 1, 1, false, 1e-6},
-        FactorizeCase{128, 32, 2, 2, false, 1e-6},
-        FactorizeCase{192, 48, 0, 2, false, 1e-6},   // auto-tuned band
-        FactorizeCase{192, 48, 2, 2, true, 1e-6},    // recursive kernels
-        FactorizeCase{200, 32, 0, 4, true, 1e-5},    // uneven tail + auto
-        FactorizeCase{256, 64, 3, 2, true, 1e-8}));
+        FactorizeCase{128, 32, 1, 1, 1e-6},
+        FactorizeCase{128, 32, 2, 2, 1e-6},
+        FactorizeCase{192, 48, 0, 2, 1e-6},   // auto-tuned band
+        FactorizeCase{192, 48, 2, 2, 1e-6},
+        FactorizeCase{200, 32, 0, 4, 1e-5},   // uneven tail + auto
+        FactorizeCase{256, 64, 3, 2, 1e-8}));
 
 TEST(Factorize, AutoTunerPopulatesTuningCurves) {
   auto prob = test_problem(192);
@@ -305,23 +363,53 @@ TEST(Factorize, AutoTunerPopulatesTuningCurves) {
   EXPECT_GE(a.band_size(), res.band_size);
 }
 
-TEST(Factorize, RecursiveAndPlainAgreeNumerically) {
-  auto prob = test_problem(160, 11);
-  compress::Accuracy acc{1e-7, 1 << 30};
-  auto a1 = tlr::TlrMatrix::from_problem(prob, 40, acc, 1);
-  auto a2 = tlr::TlrMatrix::from_problem(prob, 40, acc, 1);
-  CholeskyConfig c1, c2;
-  c1.acc = c2.acc = acc;
-  c1.band_size = c2.band_size = 2;
-  c1.recursive_all = false;
-  c2.recursive_all = true;
-  c2.recursive_block = 16;
-  c1.nthreads = c2.nthreads = 2;
-  factorize(a1, &prob, c1);
-  factorize(a2, &prob, c2);
-  Matrix l1 = assemble_lower(a1), l2 = assemble_lower(a2);
-  EXPECT_LT(dense::frob_diff(l1.view(), l2.view()),
-            1e-5 * dense::frob_norm(l1.view()));
+TEST(Factorize, OneTaskPerTileKernel) {
+  // The default configuration runs exactly one graph task per tile kernel:
+  // nt POTRF, nt(nt-1)/2 TRSM and as many SYRK, nt(nt-1)(nt-2)/6 GEMM —
+  // no structural split/merge tasks (kind -1) in the trace.
+  auto prob = test_problem(256, 17);
+  auto a = tlr::TlrMatrix::from_problem(prob, 64, {1e-6, 1 << 30}, 1);
+  CholeskyConfig cfg;
+  cfg.acc = {1e-6, 1 << 30};
+  cfg.record_trace = true;
+  const auto res = factorize(a, &prob, cfg);
+  const long long nt = a.nt();
+  const long long expect = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6;
+  EXPECT_EQ(res.stats.tasks, expect);
+  ASSERT_EQ(static_cast<long long>(res.exec.trace.size()), expect);
+  for (const auto& e : res.exec.trace) EXPECT_GE(e.kind, 0) << e.task;
+}
+
+TEST(Factorize, TraceCountsEachKernelFamily) {
+  // A two-worker band-2 run traces nt POTRF, nt(nt-1)/2 TRSM, as many SYRK
+  // and nt(nt-1)(nt-2)/6 GEMM spans, whatever mix of dense and low-rank
+  // variants the band produced.
+  auto prob = test_problem(320, 29);
+  auto a = tlr::TlrMatrix::from_problem(prob, 64, {1e-6, 1 << 30}, 1);
+  CholeskyConfig cfg;
+  cfg.acc = {1e-6, 1 << 30};
+  cfg.band_size = 2;
+  cfg.nthreads = 2;
+  cfg.record_trace = true;
+  const auto res = factorize(a, &prob, cfg);
+  std::map<std::string, long long> count;
+  for (const auto& e : res.exec.trace) {
+    switch (static_cast<flops::Kernel>(e.kind)) {
+      case flops::Kernel::kPotrf1: ++count["potrf"]; break;
+      case flops::Kernel::kTrsm1:
+      case flops::Kernel::kTrsm4: ++count["trsm"]; break;
+      case flops::Kernel::kSyrk1:
+      case flops::Kernel::kSyrk3: ++count["syrk"]; break;
+      default: ++count["gemm"]; break;
+    }
+    EXPECT_GE(e.kind, 0) << e.task;
+    EXPECT_LT(e.kind, flops::kNumKernels) << e.task;
+  }
+  const long long nt = a.nt();
+  EXPECT_EQ(count["potrf"], nt);
+  EXPECT_EQ(count["trsm"], nt * (nt - 1) / 2);
+  EXPECT_EQ(count["syrk"], nt * (nt - 1) / 2);
+  EXPECT_EQ(count["gemm"], nt * (nt - 1) * (nt - 2) / 6);
 }
 
 TEST(Factorize, TraceCoversAllPanels) {
@@ -725,53 +813,6 @@ TEST(AdaptiveDensify, DisabledPolicyKeepsTilesLowRank) {
   EXPECT_GT(lowrank, 0);
 }
 
-// ------------------------------------------- PTG Cholesky description ----
-
-TEST(CholeskyPtg, MatchesImperativeGraph) {
-  auto map = hard_map(12, 64);
-  map.set_band(3);
-  CostModel cm({1e9, 3.3e8});
-  rt::TwoDBlockCyclic dist(2, 2);
-  GraphOptions opt;
-  opt.cost = &cm;
-  opt.dist = &dist;
-  GraphStats s_imp, s_ptg;
-  auto g_imp = build_cholesky_graph(map, opt, &s_imp);
-  auto g_ptg = build_cholesky_graph_ptg(map, opt, &s_ptg);
-  EXPECT_EQ(g_ptg.size(), g_imp.size());
-  EXPECT_EQ(g_ptg.critical_path_length(), g_imp.critical_path_length());
-  EXPECT_NEAR(s_ptg.model_flops, s_imp.model_flops,
-              1e-9 * s_imp.model_flops);
-  EXPECT_EQ(s_ptg.tasks, s_imp.tasks);
-  EXPECT_EQ(s_ptg.tasks_band, s_imp.tasks_band);
-  // And the schedules are identical: same makespan on the same cluster.
-  rt::SimConfig sim{4, 4, {}, false};
-  EXPECT_NEAR(rt::simulate(g_ptg, sim).makespan,
-              rt::simulate(g_imp, sim).makespan, 1e-12);
-}
-
-TEST(CholeskyPtg, StrayDenseTilesFollowTheSamePlan) {
-  // A map with a stray dense tile off the band exercises the PTG format
-  // timeline (densify-on-demand precomputation).
-  auto map = hard_map(10, 64);
-  CostModel cm({1e9, 3.3e8});
-  GraphOptions opt;
-  opt.cost = &cm;
-  GraphStats s_imp, s_ptg;
-  auto g_imp = build_cholesky_graph(map, opt, &s_imp);
-  auto g_ptg = build_cholesky_graph_ptg(map, opt, &s_ptg);
-  EXPECT_EQ(g_ptg.size(), g_imp.size());
-  EXPECT_NEAR(s_ptg.model_flops, s_imp.model_flops,
-              1e-9 * s_imp.model_flops);
-}
-
-TEST(CholeskyPtg, RejectsRecursiveOptions) {
-  auto map = easy_map(6, 64);
-  GraphOptions opt;
-  opt.recursive_all = true;
-  EXPECT_THROW(build_cholesky_graph_ptg(map, opt), ptlr::Error);
-}
-
 // ---------------------------------------------- memory capacity model ----
 
 #include "core/memory_model.hpp"
@@ -847,36 +888,75 @@ TEST(SimulateCholesky, BatchedTlrAccelerationBeatsDenseOnlyOffload) {
 
 #include "core/dist_cholesky.hpp"
 
-TEST(DistributedCholesky, MatchesSharedMemoryFactorizationTileByTile) {
-  auto prob = test_problem(224, 91);
-  compress::Accuracy acc{1e-6, 1 << 30};
-  auto shared_mem = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
-  auto distributed = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
+namespace {
 
-  // Shared-memory reference: single thread, non-recursive, same kernels.
-  CholeskyConfig cfg;
-  cfg.acc = acc;
-  cfg.band_size = 2;
-  cfg.recursive_all = false;
-  cfg.nthreads = 1;
-  factorize(shared_mem, &prob, cfg);
-
-  rt::BandDistribution dist(2, 2, 2);
-  auto res = core::distributed_factorize(distributed, dist, acc);
-  EXPECT_GT(res.comm.messages, 0);
-  EXPECT_GT(res.comm.bytes, 0);
-
-  for (int i = 0; i < shared_mem.nt(); ++i)
-    for (int j = 0; j <= i; ++j) {
-      EXPECT_EQ(distributed.at(i, j).is_dense(),
-                shared_mem.at(i, j).is_dense())
-          << i << "," << j;
-      // Identical kernel sequences per tile: bitwise-level agreement.
-      EXPECT_LT(dense::frob_diff(distributed.at(i, j).to_dense().view(),
-                                 shared_mem.at(i, j).to_dense().view()),
-                1e-12)
-          << i << "," << j;
+// Factor the same problem with the shared-memory executor at 1, 2 and 4
+// workers (default configuration, or BAND_SIZE forced to `band` when it is
+// positive) and with the distributed rank program at the band the
+// shared-memory run used: both run one kernel sequence per tile, so every
+// tile must agree bit for bit. Returns the most nested children any
+// shared-memory run spawned.
+long long expect_backends_agree_bitwise(int n, int b, std::uint64_t seed,
+                                        int band = 0) {
+  auto prob = test_problem(n, seed);
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  const auto orig = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
+  long long spawned = 0;
+  for (const int threads : {1, 2, 4}) {
+    auto shared_mem = orig;
+    CholeskyConfig cfg;
+    cfg.acc = acc;
+    cfg.nthreads = threads;
+    if (band > 0) cfg.band_size = band;
+    const auto res = factorize(shared_mem, &prob, cfg);
+    if (band > 0) {
+      EXPECT_EQ(res.band_size, band);
     }
+    spawned = std::max(spawned, res.exec.sched.nested_spawned);
+
+    auto distributed = orig;
+    distributed.densify_band(res.band_size, &prob);
+    rt::BandDistribution dist(2, 2, res.band_size);
+    const auto dres = core::distributed_factorize(distributed, dist, acc);
+    EXPECT_GT(dres.comm.messages, 0);
+    EXPECT_GT(dres.comm.bytes, 0);
+
+    for (int i = 0; i < shared_mem.nt(); ++i)
+      for (int j = 0; j <= i; ++j) {
+        EXPECT_EQ(distributed.at(i, j).is_dense(),
+                  shared_mem.at(i, j).is_dense())
+            << threads << " workers, tile " << i << "," << j;
+        EXPECT_EQ(dense::frob_diff(distributed.at(i, j).to_dense().view(),
+                                   shared_mem.at(i, j).to_dense().view()),
+                  0.0)
+            << threads << " workers, tile " << i << "," << j;
+      }
+  }
+  return spawned;
+}
+
+}  // namespace
+
+TEST(DistributedCholesky, MatchesSharedMemoryFactorizationTileByTile) {
+  expect_backends_agree_bitwise(224, 32, 91);
+}
+
+TEST(DistributedCholesky, MatchesSharedMemoryWhenNestedChildrenFire) {
+  // b = 192 puts the dense band kernels above the nested-children cutoff,
+  // so the multi-worker shared-memory runs split them at run time.
+  EXPECT_GT(expect_backends_agree_bitwise(768, 192, 97), 0);
+}
+
+TEST(DistributedCholesky, MatchesSharedMemoryAtBandOne) {
+  // Band 1: every off-diagonal tile stays low-rank, so the comparison runs
+  // through the TLR TRSM/SYRK/GEMM kernels only.
+  expect_backends_agree_bitwise(224, 32, 95, 1);
+}
+
+TEST(DistributedCholesky, MatchesSharedMemoryAtWideBand) {
+  // Band 4 of 7 tile rows: dense GEMMs dominate and stray dense operands
+  // exercise the mixed dense/low-rank GEMM variants.
+  expect_backends_agree_bitwise(224, 32, 99, 4);
 }
 
 TEST(DistributedCholesky, BackwardErrorHoldsOnLargerGrid) {

@@ -537,7 +537,6 @@ core::CholeskyConfig quiet_cholesky(int band) {
   cfg.acc = {1e-6, 1 << 30};
   cfg.band_size = band;
   cfg.nthreads = 2;
-  cfg.recursive_potrf = false;
   cfg.faults = FaultConfig{};
   cfg.watchdog = resil::WatchdogConfig{};
   cfg.retry.backoff_us = 1;
@@ -575,7 +574,6 @@ TEST(CholeskyRecovery, FaultedFactorIsBitwiseIdentical) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   const tlr::TlrMatrix orig = problem_matrix(prob, 16);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;  // every task carries recovery hooks
 
   tlr::TlrMatrix baseline = orig;
   const auto base_result = core::factorize(baseline, &prob, cfg);
@@ -610,22 +608,64 @@ TEST(CholeskyRecovery, FaultedFactorIsBitwiseIdentical) {
   }
 }
 
-TEST(CholeskyRecovery, RecursiveGraphsRecoverBitwiseToo) {
-  // Recursive sub-tasks share one tile's storage and are never injected;
-  // the surrounding whole-tile tasks still are, and recovery must stay
-  // exact.
-  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
+TEST(CholeskyRecovery, EveryTaskCarriesRecoveryHooks) {
+  // Every task of a real factorization declares its output tile. Checked
+  // on the graph itself and through the default configuration's run: a
+  // task's first attempt faults with certainty when it has hooks (and is
+  // never injected without them), so injections must equal tasks.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 128);
   const tlr::TlrMatrix orig = problem_matrix(prob, 32);
-  auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = true;
-
+  {
+    tlr::TlrMatrix a = orig;
+    a.densify_band(2, &prob);
+    const rt::TaskGraph g = core::build_cholesky_graph(a, {});
+    for (rt::TaskId t = 0; t < g.size(); ++t)
+      EXPECT_FALSE(g.info(t).outputs.empty()) << g.info(t).name;
+  }
   tlr::TlrMatrix baseline = orig;
+  core::CholeskyConfig cfg;
+  cfg.acc = {1e-6, 1 << 30};
+  cfg.band_size = 2;
+  cfg.faults = FaultConfig{};
+  cfg.watchdog = resil::WatchdogConfig{};
   core::factorize(baseline, &prob, cfg);
 
   tlr::TlrMatrix a = orig;
-  cfg.faults = FaultConfig::with_seed(6);
-  cfg.faults.task_exception_probability = 0.25;
+  cfg.faults = FaultConfig::with_seed(3);
+  cfg.faults.task_exception_probability = 1.0;
+  cfg.faults.alloc_failure_probability = 0.0;
+  cfg.faults.poison_probability = 0.0;
   const auto result = core::factorize(a, &prob, cfg);
+  EXPECT_EQ(result.recovery.faults_injected(), result.stats.tasks);
+  EXPECT_EQ(result.recovery.tasks_recovered(), result.stats.tasks);
+  EXPECT_TRUE(bitwise_equal(a, baseline));
+}
+
+TEST(CholeskyRecovery, NestedBandKernelsRecoverBitwise) {
+  // b = 192 puts the dense band kernels above the nested-children cutoff:
+  // the faulted band tasks had spawned children before their retry, and
+  // recovery must still be exact.
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 576);
+  const tlr::TlrMatrix orig = problem_matrix(prob, 192);
+  core::CholeskyConfig cfg;
+  cfg.acc = {1e-6, 1 << 30};
+  cfg.band_size = 2;
+  cfg.nthreads = 4;
+  cfg.faults = FaultConfig{};
+  cfg.watchdog = resil::WatchdogConfig{};
+  cfg.retry.backoff_us = 1;
+
+  tlr::TlrMatrix baseline = orig;
+  const auto base = core::factorize(baseline, &prob, cfg);
+  EXPECT_GT(base.exec.sched.nested_spawned, 0);
+
+  tlr::TlrMatrix a = orig;
+  cfg.faults = FaultConfig::with_seed(6);
+  cfg.faults.task_exception_probability = 0.5;
+  cfg.faults.alloc_failure_probability = 0.0;
+  cfg.faults.poison_probability = 0.5;
+  const auto result = core::factorize(a, &prob, cfg);
+  EXPECT_GT(result.recovery.faults_injected(), 0);
   EXPECT_EQ(result.recovery.faults_injected(), result.recovery.retries());
   EXPECT_EQ(result.recovery.retries(), result.recovery.tasks_recovered());
   EXPECT_TRUE(bitwise_equal(a, baseline));
@@ -647,7 +687,6 @@ TEST(Breakdown, FailPolicyReportsGlobalPivot) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = near_non_spd(prob, 16, /*tile=*/1, /*offset=*/3);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   try {
     core::factorize(a, nullptr, cfg);
     FAIL() << "expected a numerical breakdown";
@@ -660,27 +699,11 @@ TEST(Breakdown, FailPolicyReportsGlobalPivot) {
   }
 }
 
-TEST(Breakdown, RecursivePotrfRebasesPivot) {
-  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
-  tlr::TlrMatrix a = near_non_spd(prob, 32, /*tile=*/1, /*offset=*/5);
-  auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = true;  // b=32 > rb=16 → recursive sub-DAG POTRF
-  try {
-    core::factorize(a, nullptr, cfg);
-    FAIL() << "expected a numerical breakdown";
-  } catch (const ptlr::NumericalError& e) {
-    // Entry (5,5) of tile (1,1): 1-based global pivot 32 + 6, rebased
-    // through the sub-block offset.
-    EXPECT_EQ(e.info(), 38);
-  }
-}
-
 TEST(Breakdown, ShiftAndRestartCompletes) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   const tlr::TlrMatrix poisoned = near_non_spd(prob, 16, 1, 3);
   tlr::TlrMatrix a = poisoned;
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   cfg.breakdown.action = resil::BreakdownPolicy::Action::kShiftAndRestart;
   cfg.breakdown.shift = 4.0;  // enough to dominate the -1 diagonal entry
   cfg.breakdown.max_restarts = 2;
@@ -697,7 +720,6 @@ TEST(Breakdown, ShiftAndRestartGivesUpAfterBudget) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = near_non_spd(prob, 16, 1, 3);
   auto cfg = quiet_cholesky(/*band=*/2);
-  cfg.recursive_all = false;
   cfg.breakdown.action = resil::BreakdownPolicy::Action::kShiftAndRestart;
   cfg.breakdown.shift = 1e-12;  // hopeless against a -1 diagonal entry
   cfg.breakdown.growth = 1.0;
@@ -740,7 +762,6 @@ TEST(DenseFallback, FactorizationSurvivesTinyMaxrank) {
   const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
   tlr::TlrMatrix a = problem_matrix(prob, 16);
   auto cfg = quiet_cholesky(/*band=*/1);
-  cfg.recursive_all = false;
   cfg.acc = {1e-10, 3};  // rank growth past 3 must densify, not truncate
   const auto result = core::factorize(a, &prob, cfg);
   EXPECT_GT(result.recovery.dense_fallbacks(), 0);

@@ -33,35 +33,6 @@ using namespace ptlr::testing;
 
 namespace {
 
-// setenv/unsetenv with restore (mirrors the resilience suite's helper).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 rt::ExecOptions ws_options() {
   rt::ExecOptions opts;
   opts.record_trace = true;
@@ -497,8 +468,7 @@ TEST(WsChaos, ChainCutsNeverDivertOrWake) {
 TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
   // A graph task running a dense kernel above the 64^3 volume cutoff must
   // fan out child tasks on the ws engine, and the result must be bitwise
-  // identical to the fat serial call (branch-stable decomposition), with
-  // PTLR_NESTED=off restoring the serial path exactly.
+  // identical to the fat serial call (branch-stable decomposition).
   const int n = 256;
   dense::Matrix a(n, n), b(n, n);
   for (int j = 0; j < n; ++j)
@@ -529,25 +499,50 @@ TEST(WsScheduler, LargeGemmSpawnsChildrenAndStaysBitwise) {
         ASSERT_EQ(std::memcmp(&c(i, j), &ref(i, j), sizeof(double)), 0)
             << what << " diverged at (" << i << "," << j << ")";
   };
-  {
-    dense::Matrix c(n, n);
-    const auto res = run_graph(c);
-    EXPECT_GT(res.sched.nested_spawned, 0);
-    expect_bitwise(c, "nested gemm");
-  }
-  {
-    ScopedEnv off("PTLR_NESTED", "off");
-    dense::Matrix c(n, n);
-    const auto res = run_graph(c);
-    EXPECT_EQ(res.sched.nested_spawned, 0);
-    expect_bitwise(c, "PTLR_NESTED=off gemm");
-  }
+  dense::Matrix c(n, n);
+  const auto res = run_graph(c);
+  EXPECT_GT(res.sched.nested_spawned, 0);
+  expect_bitwise(c, "nested gemm");
 }
 
-TEST(NestedEnv, RejectsTypos) {
-  // A typo must not silently flip the mode of an A/B run.
-  ScopedEnv env("PTLR_NESTED", "offf");
-  EXPECT_THROW(rt::nested_enabled(), Error);
+TEST(WsScheduler, ChildSubstrateExactlyWhenMoreThanOneWorker) {
+  // The executor installs the nested substrate on every multi-worker run
+  // and on no one-worker run; the latter runs above-cutoff kernels as one
+  // fat call (no spawns), bitwise equal to the serial call.
+  const int n = 256;
+  dense::Matrix a(n, n), b(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) {
+      a(i, j) = 0.75 + 0.25 * std::cos(0.02 * i - 0.01 * j);
+      b(i, j) = 1.0 - 0.125 * std::sin(0.01 * i + 0.03 * j);
+    }
+  dense::Matrix ref(n, n);
+  dense::gemm(dense::Trans::N, dense::Trans::N, 1.0, a.view(), b.view(),
+              0.0, ref.view());
+  for (const int threads : {1, 2, 4}) {
+    dense::Matrix c(n, n);
+    std::atomic<int> available{-1};
+    rt::TaskGraph g;
+    rt::TaskInfo t;
+    t.name = "gemm";
+    t.fn = [&] {
+      available.store(rt::nested_available() ? 1 : 0);
+      dense::gemm(dense::Trans::N, dense::Trans::N, 1.0, a.view(), b.view(),
+                  0.0, c.view());
+    };
+    g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
+    const auto res = rt::execute(g, threads, ws_options());
+    EXPECT_EQ(available.load(), threads > 1 ? 1 : 0) << threads;
+    if (threads > 1) {
+      EXPECT_GT(res.sched.nested_spawned, 0) << threads;
+    } else {
+      EXPECT_EQ(res.sched.nested_spawned, 0);
+    }
+    EXPECT_EQ(std::memcmp(c.data(), ref.data(),
+                          sizeof(double) * static_cast<std::size_t>(n) * n),
+              0)
+        << threads << " workers diverged from the serial call";
+  }
 }
 
 // --------------------------------------- resilience contracts under ws --
@@ -743,8 +738,6 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;
     cfg.nthreads = threads;
-    cfg.recursive_all = true;
-    cfg.recursive_block = 16;
     cfg.perturb = rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
     cfg.watchdog = resil::WatchdogConfig{};
@@ -764,14 +757,13 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
 }
 
 TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
-  // Flat (non-recursive) tile kernels at b = 192 put the dense-band
-  // macro-kernels above the 64^3 nested cutoff, so the multi-worker runs
-  // exercise child-task fan-out from inside the task bodies. The factor
-  // must stay bitwise identical to the 1-worker oracle (no child
-  // substrate: every kernel is one fat call) — the nested decomposition
-  // is branch-stable by construction — with PTLR_NESTED=off (serial fat
-  // calls) and across an 8-seed chaos sweep, where children are spawned
-  // and stolen under seeded victim order.
+  // Tile kernels at b = 192 put the dense-band macro-kernels above the
+  // 64^3 nested cutoff, so the multi-worker runs exercise child-task
+  // fan-out from inside the task bodies. The factor must stay bitwise
+  // identical to the 1-worker oracle (no child substrate: every kernel is
+  // one fat call) — the nested decomposition is branch-stable by
+  // construction — also across an 8-seed chaos sweep, where children are
+  // spawned and stolen under seeded victim order.
   const int n = 384;
   const int b = 192;
   const double tol = 1e-6;
@@ -784,7 +776,6 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
     cfg.acc = {tol, 1 << 30};
     cfg.band_size = 2;
     cfg.nthreads = threads;
-    cfg.recursive_all = false;  // fat tile kernels: nesting parallelizes
     cfg.perturb = chaos_seed != 0 ? rt::PerturbConfig::with_seed(chaos_seed)
                                   : rt::PerturbConfig{};
     cfg.faults = resil::FaultConfig{};
@@ -804,11 +795,6 @@ TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
   for (const int threads : {2, 4})
     expect_same(factor_once(threads, 0),
                 "ws nested at " + std::to_string(threads) + " threads");
-  {
-    ScopedEnv off("PTLR_NESTED", "off");
-    expect_same(factor_once(2, 0),
-                "PTLR_NESTED=off");
-  }
   for (std::uint64_t s = 1; s <= 8; ++s)
     expect_same(factor_once(4, s),
                 "chaos seed " + std::to_string(s));

@@ -32,7 +32,7 @@ TASK_ARG_KEYS = (
     "kind", "kernel", "panel", "i", "j", "flops", "bytes",
     "rank_in", "rank_out",
 )
-NUM_KERNELS = 10  # Table I classes; -1 marks structural (split/merge) tasks
+NUM_KERNELS = 10  # Table I classes; -1 marks a span with no kernel class
 
 # Canonical recovery event names (obs/counters.hpp, ResilienceEvent).
 RESILIENCE_EVENTS = frozenset((
