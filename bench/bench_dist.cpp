@@ -2,19 +2,18 @@
 // (BENCH_dist.json).
 //
 // Runs the in-process distributed Cholesky (N rank threads over the
-// Communicator) on the same st-3D-exp problem under three communication
+// Communicator) on the same st-3D-exp problem under two communication
 // configurations at 2/4/8 ranks:
 //
-//   * unicast   — flat one-send-per-destination broadcasts, lookahead 2
-//                 (the pre-tree PTG pattern);
-//   * tree_la0  — binomial-tree broadcasts with the prefetcher disabled,
-//                 isolating the egress win from the overlap win;
-//   * tree      — trees plus panel lookahead 2 (the default path).
+//   * unicast — flat one-send-per-destination broadcasts (the pre-tree PTG
+//               pattern);
+//   * tree    — binomial-tree broadcasts (the default path).
 //
 // For every run it reports end-to-end seconds (min over reps) and the
 // aggregated RankCommStats: broadcast-origin egress bytes (the O(P) vs
-// O(1) quantity the trees exist to cut), tree forwards, prefetch hit/miss
-// counts and time blocked in recv. Every run's factor is compared bitwise
+// O(1) quantity the trees exist to cut), tree forwards, received tiles
+// that arrived while the rank still had work (prefetch hits) or while it
+// waited (misses), and the ranks' seconds waiting for tiles. Every run's factor is compared bitwise
 // against the first run's — the modes must not change a single bit.
 //
 // Output: BENCH_dist.json (override with PTLR_BENCH_OUT or argv[1]).
@@ -38,14 +37,12 @@ namespace {
 struct Mode {
   const char* name;
   bool tree;
-  int lookahead;
 };
 
 struct Row {
   int nranks;
   const char* mode;
   bool tree;
-  int lookahead;
   double seconds = 0.0;
   long long messages = 0;
   long long bytes = 0;
@@ -87,8 +84,7 @@ int main(int argc, char** argv) {
   bench::header("bench_dist", "distributed communication paths");
   std::printf("n=%d b=%d band=%d tol=%.0e reps=%d\n", n, b, band, tol, reps);
 
-  const Mode modes[] = {
-      {"unicast", false, 2}, {"tree_la0", true, 0}, {"tree", true, 2}};
+  const Mode modes[] = {{"unicast", false}, {"tree", true}};
   const int rank_counts[] = {2, 4, 8};
   const auto prob = bench::st3d_exp(n);
 
@@ -98,20 +94,18 @@ int main(int argc, char** argv) {
 
   std::printf("%7s %-9s %10s %12s %12s %9s %9s %9s %11s\n", "nranks", "mode",
               "seconds", "egress B", "max/rank B", "forwards", "pf hit",
-              "pf miss", "blocked s");
+              "pf miss", "waiting s");
   for (const int nranks : rank_counts) {
     const auto [p, q] = rt::square_grid(nranks);
     const rt::BandDistribution dist(p, q, band);
     for (const Mode& m : modes) {
       core::DistCommOptions opts;
       opts.tree = m.tree;
-      opts.lookahead = m.lookahead;
 
       Row row;
       row.nranks = nranks;
       row.mode = m.name;
       row.tree = m.tree;
-      row.lookahead = m.lookahead;
       row.seconds = 1e300;
       for (int r = 0; r < reps; ++r) {
         tlr::TlrMatrix a = tlr::TlrMatrix::from_problem(prob, b, acc, 1);
@@ -174,12 +168,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"nranks\": %d, \"mode\": \"%s\", \"tree\": %s, "
-        "\"lookahead\": %d, \"seconds\": %.5f, \"messages\": %lld, "
+        "\"seconds\": %.5f, \"messages\": %lld, "
         "\"bytes\": %lld, \"root_egress_bytes\": %lld, "
         "\"max_rank_root_egress_bytes\": %lld, \"forwards\": %lld, "
         "\"forward_bytes\": %lld, \"prefetch_hits\": %lld, "
         "\"prefetch_misses\": %lld, \"blocked_recv_seconds\": %.6f}%s\n",
-        r.nranks, r.mode, r.tree ? "true" : "false", r.lookahead, r.seconds,
+        r.nranks, r.mode, r.tree ? "true" : "false", r.seconds,
         r.messages, r.bytes, r.root_egress_bytes,
         r.max_rank_root_egress_bytes, r.forwards, r.forward_bytes,
         r.prefetch_hits, r.prefetch_misses, r.blocked_recv_seconds,

@@ -1,346 +1,302 @@
 #include "core/dist_cholesky.hpp"
 
-#include <algorithm>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <map>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/bcast_tree.hpp"
-#include "hcore/kernels.hpp"
-#include "obs/trace.hpp"
+#include "core/cholesky_graph.hpp"
+#include "runtime/executor.hpp"
 #include "tlr/io.hpp"
 
 namespace ptlr::core {
 
 namespace {
 
-using rt::dist::make_tag;
+// The message tag of a task's output tile: space 0 for a factored
+// diagonal tile, 1 for a panel tile, keyed by the producing panel — the
+// step the checkpoint frontier and the wire's REJOIN replay count in.
+std::uint64_t tile_tag(const rt::TaskInfo& t) {
+  return rt::dist::make_tag(t.ti == t.tj ? 0 : 1,
+                            static_cast<std::uint32_t>(t.panel),
+                            static_cast<std::uint32_t>(t.ti),
+                            static_cast<std::uint32_t>(t.tj));
+}
 
-// One rank's view of the factorization, written against the transport
-// seam only: the same program runs over in-process rank threads and over
-// the socket mesh. `a` is the rank's replica; only tiles owned by
-// transport.rank() per `dist` are read/written.
-class RankProgram {
+// One rank's share of the factorization: the tasks of the one
+// build_cholesky_graph graph that `dist` assigns to this rank, run on a
+// one-worker executor. Every REMOTE edge of the graph becomes a send task
+// after the producer and an external-input task on the consumer's rank,
+// which the progress loop (core/tile_flow.hpp) releases when the tile
+// arrives. Written against the transport seam only, so the same code runs
+// over in-process rank threads and over the socket mesh. `a` is the
+// rank's replica: owned tiles are factored in place, received tiles are
+// installed in their slots.
+class RankRun {
  public:
-  RankProgram(rt::dist::Transport& t, int nt, const rt::Distribution& dist,
-              tlr::TlrMatrix& a, const compress::Accuracy& acc,
-              const RankRecoveryOptions& rec = {},
-              const DistCommOptions& opts = {})
-      : t_(t),
-        rank_(t.rank()),
-        nt_(nt),
-        dist_(dist),
-        a_(a),
-        acc_(acc),
-        rec_(rec),
-        opts_(opts),
-        injector_(rec.faults),
-        flow_(t, cstats_) {
-    cstats_.rank = rank_;
+  RankRun(rt::dist::Transport& t, const rt::Distribution& dist,
+          tlr::TlrMatrix& a, const compress::Accuracy& acc,
+          const RankRecoveryOptions& rec, const DistCommOptions& opts)
+      : t_(t), rank_(t.rank()), dist_(dist), a_(a), rec_(rec), opts_(opts) {
+    GraphOptions gopt;
+    gopt.acc = acc;
+    gopt.dist = &dist;
+    g_ = build_cholesky_graph(a, gopt);
+    stats_.rank = rank_;
+    // Broadcast destinations: the owners of each task's consumers on
+    // other ranks. Every cross-rank edge is a read of the producer's
+    // output tile — a tile is written only by its owner, and read only
+    // after its last write.
+    dests_.resize(static_cast<std::size_t>(g_.size()));
+    for (rt::TaskId p = 0; p < g_.size(); ++p)
+      for (const rt::TaskId s : g_.successors(p))
+        if (owner(s) != owner(p))
+          dests_[static_cast<std::size_t>(p)].insert(owner(s));
   }
+  // Task bodies and the progress loop hold `this`.
+  RankRun(const RankRun&) = delete;
+  RankRun& operator=(const RankRun&) = delete;
 
   void run() {
     int k0 = 0;
-    if (rec_.epoch > 0) {
-      resil::note(resil::ResilienceEvent::kRankRestart,
-                  "rank " + std::to_string(rank_) + " epoch " +
-                      std::to_string(rec_.epoch));
-      k0 = restore();
+    if (rec_.epoch > 0) k0 = restore();
+
+    // The injected whole-process death: every rank computes the same
+    // (victim, step) plan from the fault seed. Only the first incarnation
+    // (epoch 0) kills, so a respawn cannot re-kill itself.
+    int kill_step = -1;
+    const resil::FaultInjector injector(rec_.faults);
+    if (rec_.epoch == 0 && injector.enabled()) {
+      const auto plan = injector.rank_kill(dist_.nproc(), a_.nt());
+      if (plan && plan->victim == rank_) kill_step = plan->step;
     }
-    registered_upto_ = k0;
-    for (int k = k0; k < nt_; ++k) {
-      // Post expected receives for this panel AND the lookahead window:
-      // while blocked anywhere in step k, arrivals for steps up to
-      // k + lookahead are pulled in (and tree-forwarded) immediately.
-      register_through(std::min(nt_ - 1, k + opts_.lookahead));
-      maybe_kill(k);
-      factor_panel(k);
-      update_trailing(k);
-      maybe_checkpoint(k);
-    }
+
+    TileFlow flow(t_, stats_);  // forwards and arrivals; sends: sent_
+    rt::TaskGraph share = build_share(k0, kill_step, flow);
+
+    // The progress loop is the executor's feed, on a thread of its own,
+    // while this thread runs the one worker; a failure on either side
+    // aborts the transport, which wakes the loop (and the peers).
+    rt::ExecOptions eo;
+    eo.feed = [&flow](const std::function<bool(rt::TaskId)>& release) {
+      flow.run(release);
+    };
+    eo.on_cancel = [this] { t_.abort(); };
+    eo.record_trace = true;  // task intervals: the worker's busy time
+    const rt::ExecResult res = rt::execute(share, 1, eo);
+
+    stats_.messages += sent_.messages;
+    stats_.bytes += sent_.bytes;
+    stats_.root_egress_bytes = sent_.root_egress_bytes;
+    // One worker, so whenever it ran no task it waited for tiles.
+    stats_.blocked_recv_seconds = res.seconds;
+    for (const rt::TraceEvent& ev : res.trace)
+      stats_.blocked_recv_seconds -= ev.end - ev.start;
+
+    // A victim that owned no task from its planned step on dies here,
+    // before its drain.
+    if (kill_step >= 0) std::raise(SIGKILL);
   }
 
-  [[nodiscard]] const RankCommStats& comm_stats() const { return cstats_; }
+  [[nodiscard]] const RankCommStats& comm_stats() const { return stats_; }
 
  private:
-  [[nodiscard]] bool mine(int i, int j) const {
-    return dist_.owner(i, j) == rank_;
-  }
-  tlr::Tile& local(int i, int j) { return a_.at(i, j); }
+  [[nodiscard]] int owner(rt::TaskId t) const { return g_.info(t).owner; }
 
-  // Observability: every kernel a rank executes becomes a task span in the
-  // rank's lane (worker = rank), so a traced distributed run shows the
-  // same timeline structure as the shared-memory executor. The hcore
-  // dispatch annotates the actual kernel class; no-op when tracing is off.
-  template <typename Body>
-  void traced(const char* op, int k, int i, int j, Body&& body) {
-    obs::task_begin();
-    body();
-    // The output of every kernel here is tile (i, j) in place; its
-    // serialized size is what a broadcast of the result would carry.
-    const long long out_bytes =
-        obs::enabled()
-            ? static_cast<long long>(tlr::tile_byte_size(local(i, j)))
-            : 0;
-    obs::task_end(std::string(op) + "(" + std::to_string(i) + "," +
-                      std::to_string(j) + ")",
-                  /*kind=*/-1, /*panel=*/k, i, j, /*worker=*/rank_,
-                  out_bytes);
-  }
-
-  void broadcast(const tlr::Tile& t, std::uint64_t tag,
-                 const std::set<int>& dests) {
-    // Serialized exactly once into a refcounted buffer: every queued
-    // send, retransmit copy and replay log entry shares it.
-    const Bytes bytes = tlr::tile_to_bytes(t);
-    const auto size = static_cast<long long>(bytes.size());
+  /// Send task `p`'s output tile to the ranks that consume it.
+  void broadcast(rt::TaskId p) {
+    const rt::TaskInfo& info = g_.info(p);
+    const std::set<int>& dests = dests_[static_cast<std::size_t>(p)];
+    if (dests.empty()) return;  // dests never holds this rank itself
+    const std::uint64_t tag = tile_tag(info);
+    // Serialized exactly once into a refcounted buffer: every queued send,
+    // retransmit copy and replay log entry shares it.
+    const Bytes bytes = tlr::tile_to_bytes(a_.at(info.ti, info.tj));
+    const auto send = [&](int to) {
+      t_.send(to, tag, bytes);
+      sent_.messages += 1;
+      sent_.bytes += static_cast<long long>(bytes.size());
+      sent_.root_egress_bytes += static_cast<long long>(bytes.size());
+    };
     if (opts_.tree) {
       // Root-offload binomial tree: the origin transmits ONE copy; the
-      // receivers forward (core/tile_flow.hpp) down the deterministic
-      // tree, so root egress is O(1) per broadcast instead of O(|dests|).
-      const int hop = bcast::first_hop(tag, rank_, dests);
-      if (hop < 0) return;
-      t_.send(hop, tag, bytes);
-      cstats_.messages += 1;
-      cstats_.bytes += size;
-      cstats_.root_egress_bytes += size;
-      return;
+      // receivers forward it down the deterministic tree.
+      send(bcast::first_hop(tag, rank_, dests));
+    } else {
+      // Flat: one unicast per destination rank (the PTG collective
+      // semantics, kept as the comparison baseline under PTLR_BCAST=flat).
+      for (const int d : dests) send(d);
     }
-    // Flat mode: one unicast per destination rank (the PTG collective
-    // semantics, kept as the comparison baseline under PTLR_BCAST=flat).
-    for (const int d : dests) {
-      if (d == rank_) continue;
-      t_.send(d, tag, bytes);
-      cstats_.messages += 1;
-      cstats_.bytes += size;
-      cstats_.root_egress_bytes += size;
-    }
-  }
-
-  // ---- expected-receive registration (lookahead + tree forwarding) ----
-
-  [[nodiscard]] std::vector<int> tree_children(std::uint64_t tag, int origin,
-                                               const std::set<int>& dests)
-      const {
-    if (!opts_.tree) return {};
-    return bcast::children(tag, origin, dests, rank_);
-  }
-
-  /// Register every broadcast of step `s` this rank will receive, with
-  /// the children it must forward each payload to. Safe to call for
-  /// overlapping windows — TileFlow::expect is idempotent per tag.
-  void register_step(int s) {
-    const std::uint64_t diag_tag =
-        make_tag(0, static_cast<std::uint32_t>(s), s, s);
-    const int diag_owner = dist_.owner(s, s);
-    const std::set<int> ddests = diag_dests(s);
-    if (rank_ != diag_owner && ddests.count(rank_) != 0)
-      flow_.expect(diag_tag, tree_children(diag_tag, diag_owner, ddests));
-    for (int i = s + 1; i < nt_; ++i) {
-      const int panel_owner = dist_.owner(i, s);
-      if (panel_owner == rank_) continue;
-      const std::set<int> pdests = panel_dests(s, i);
-      if (pdests.count(rank_) == 0) continue;
-      const std::uint64_t tag = make_tag(1, static_cast<std::uint32_t>(s),
-                                         static_cast<std::uint32_t>(i), s);
-      flow_.expect(tag, tree_children(tag, panel_owner, pdests));
-    }
-  }
-
-  void register_through(int hi) {
-    for (; registered_upto_ <= hi; ++registered_upto_)
-      register_step(registered_upto_);
-  }
-
-  // Destination sets of the step-k broadcasts, shared by the live
-  // factorization and the post-respawn rebroadcast of already-factored
-  // tiles.
-  [[nodiscard]] std::set<int> diag_dests(int k) const {
-    std::set<int> dests;
-    for (int i = k + 1; i < nt_; ++i) dests.insert(dist_.owner(i, k));
-    return dests;
-  }
-  [[nodiscard]] std::set<int> panel_dests(int k, int i) const {
-    std::set<int> dests;
-    dests.insert(dist_.owner(i, i));                      // SYRK
-    for (int j = k + 1; j < i; ++j)
-      dests.insert(dist_.owner(i, j));                    // GEMM row operand
-    for (int m = i + 1; m < nt_; ++m)
-      dests.insert(dist_.owner(m, i));                    // GEMM col operand
-    return dests;
-  }
-
-  // ---- rank-death recovery -------------------------------------------
-
-  /// The injected whole-process death: every rank computes the same
-  /// (victim, step) plan from the fault seed, and the victim SIGKILLs
-  /// itself at the top of its step — no cleanup, no BYE, exactly what a
-  /// node crash looks like to the mesh. Only the first incarnation
-  /// (epoch 0) kills, so a respawn cannot re-kill itself at the same step.
-  void maybe_kill(int k) {
-    if (rec_.epoch != 0 || !injector_.enabled()) return;
-    const auto plan = injector_.rank_kill(dist_.nproc(), nt_);
-    if (plan && plan->victim == rank_ && plan->step == k)
-      std::raise(SIGKILL);
-  }
-
-  /// Periodic crash-consistent checkpoint of the rank's owned tiles (in
-  /// their current, partially-updated state) with frontier k+1 — the
-  /// first step a replay from this checkpoint must re-run. The final step
-  /// is not checkpointed: a kill after it cannot happen (the plan's step
-  /// range ends at nt-1) and the file would only be dead weight.
-  void maybe_checkpoint(int k) {
-    if (!rec_.ckpt.enabled()) return;
-    if ((k + 1) % rec_.ckpt.every != 0 || k + 1 >= nt_) return;
-    // Ack barrier BEFORE the frontier advances on disk: every send this
-    // rank made so far — broadcast roots and tree forwards alike — must
-    // be delivered, not merely queued. If this rank dies later, replay
-    // only re-covers steps at or past the frontier; anything older has to
-    // already be at its receiver.
-    t_.flush();
-    save_rank_checkpoint(rec_.ckpt.path_of(rank_), a_, dist_, rank_,
-                         static_cast<std::uint64_t>(k + 1));
-    resil::note(resil::ResilienceEvent::kCkptWrite,
-                "rank " + std::to_string(rank_) + " frontier " +
-                    std::to_string(k + 1));
   }
 
   /// Respawn path: load the checkpoint (if one exists), re-broadcast every
-  /// owned tile that was factored before the frontier — peers may have
-  /// lost those messages with the old process; receivers that already have
-  /// them discard the re-sends by deterministic-id dedup — and return the
-  /// step to resume at.
+  /// owned tile factored before the frontier — peers may have lost those
+  /// messages with the old process; receivers that already have them
+  /// discard the re-sends by deterministic-id dedup — and return the
+  /// frontier, the first panel to run.
   int restore() {
-    if (!rec_.ckpt.enabled()) return 0;
+    resil::note(resil::ResilienceEvent::kRankRestart,
+                "rank " + std::to_string(rank_) + " epoch " +
+                    std::to_string(rec_.epoch));
     const std::string path = rec_.ckpt.path_of(rank_);
-    if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-      std::fclose(f);
-    } else {
-      return 0;  // died before the first checkpoint: replay from scratch
-    }
-    const std::uint64_t frontier =
-        load_rank_checkpoint(path, a_, dist_, rank_);
+    // No file (frontier 0): died before the first checkpoint; replay all.
+    if (!rec_.ckpt.enabled() || peek_checkpoint_frontier(path) == 0) return 0;
+    const auto k0 =
+        static_cast<int>(load_rank_checkpoint(path, a_, dist_, rank_));
     resil::note(resil::ResilienceEvent::kCkptLoad,
                 "rank " + std::to_string(rank_) + " frontier " +
-                    std::to_string(frontier));
-    const int k0 = static_cast<int>(frontier);
-    for (int k = 0; k < k0; ++k) {
-      if (mine(k, k))
-        broadcast(local(k, k),
-                  make_tag(0, static_cast<std::uint32_t>(k), k, k),
-                  diag_dests(k));
-      for (int i = k + 1; i < nt_; ++i) {
-        if (mine(i, k))
-          broadcast(local(i, k),
-                    make_tag(1, static_cast<std::uint32_t>(k),
-                             static_cast<std::uint32_t>(i), k),
-                    panel_dests(k, i));
-      }
-    }
+                    std::to_string(k0));
+    for (rt::TaskId p = 0; p < g_.size(); ++p)
+      if (owner(p) == rank_ && g_.info(p).panel < k0) broadcast(p);
     return k0;
   }
 
-  void factor_panel(int k) {
-    const std::uint64_t diag_tag = make_tag(0, static_cast<std::uint32_t>(k),
-                                            k, k);
-    const int diag_owner = dist_.owner(k, k);
-    // POTRF on the diagonal owner, then broadcast down the panel.
-    if (mine(k, k)) {
-      traced("potrf", k, k, k, [&] { hcore::potrf(local(k, k)); });
-      broadcast(local(k, k), diag_tag, diag_dests(k));
-    }
-
-    // Ranks holding panel tiles need the factored diagonal.
-    bool need_diag = false;
-    for (int i = k + 1; i < nt_ && !need_diag; ++i)
-      need_diag = mine(i, k);
-    if (!need_diag) return;
-
-    tlr::Tile diag_copy;
-    const tlr::Tile* diag = nullptr;
-    if (mine(k, k)) {
-      diag = &local(k, k);
-    } else {
-      (void)diag_owner;
-      diag_copy = tlr::tile_from_bytes(flow_.get(diag_tag));
-      diag = &diag_copy;
-    }
-
-    // TRSMs on owned panel tiles, then broadcast each result to every
-    // rank whose trailing updates read it.
-    for (int i = k + 1; i < nt_; ++i) {
-      if (!mine(i, k)) continue;
-      traced("trsm", k, i, k, [&] { hcore::trsm(*diag, local(i, k)); });
-      broadcast(local(i, k),
-                make_tag(1, static_cast<std::uint32_t>(k),
-                         static_cast<std::uint32_t>(i), k),
-                panel_dests(k, i));
-    }
-  }
-
-  void update_trailing(int k) {
-    // Received panel tiles are cached for the whole step.
-    std::map<int, tlr::Tile> cache;
-    auto panel = [&](int i) -> const tlr::Tile& {
-      if (mine(i, k)) return local(i, k);
-      auto it = cache.find(i);
-      if (it == cache.end()) {
-        // Consume through the flow: a hit means the bytes arrived while
-        // this rank was computing (lookahead/forwarding did its job); a
-        // miss blocks in recv_any, servicing other expected tags.
-        it = cache
-                 .emplace(i, tlr::tile_from_bytes(flow_.get(
-                                 make_tag(1, static_cast<std::uint32_t>(k),
-                                          static_cast<std::uint32_t>(i),
-                                          k))))
-                 .first;
-      }
-      return it->second;
+  /// This rank's subgraph over the panels from `k0` on: copies of its own
+  /// tasks, a send task after each one whose tile other ranks read, an
+  /// external-input receive task for each remote tile it reads (registered
+  /// with `flow`), and — with checkpointing on — one control task per
+  /// frontier.
+  rt::TaskGraph build_share(int k0, int kill_step, TileFlow& flow) {
+    const int n = g_.size();
+    std::vector<std::vector<rt::TaskId>> preds(static_cast<std::size_t>(n));
+    for (rt::TaskId p = 0; p < n; ++p)
+      for (const rt::TaskId s : g_.successors(p))
+        preds[static_cast<std::size_t>(s)].push_back(p);
+    // Sends, receives and checkpoints run in the top priority band (3):
+    // they are cheap and other ranks, or this rank's consumers, wait on
+    // them.
+    const auto aux = [&](std::string name, int panel) {
+      rt::TaskInfo t;
+      t.name = std::move(name);
+      t.kind = -1;
+      t.panel = panel;
+      t.priority = 3.0;
+      t.owner = rank_;
+      return t;
     };
 
-    for (int n = k + 1; n < nt_; ++n) {
-      for (int m = n; m < nt_; ++m) {
-        if (!mine(m, n)) continue;
-        if (m == n) {
-          traced("syrk", k, m, m, [&] { hcore::syrk(panel(m), local(m, m)); });
-        } else {
-          // Same per-site seeding as the shared-memory graph builder so a
-          // distributed run's randomized recompressions match it tile for
-          // tile (rank placement is irrelevant to the draw).
-          compress::Accuracy acc = acc_;
-          acc.policy.seed = compress::site_seed(
-              acc.policy.seed,
-              static_cast<std::uint64_t>(m) *
-                      static_cast<std::uint64_t>(nt_) +
-                  static_cast<std::uint64_t>(n),
-              static_cast<std::uint64_t>(k));
-          traced("gemm", k, m, n,
-                 [&] { hcore::gemm(panel(m), panel(n), local(m, n), acc); });
-        }
+    rt::TaskGraph share;
+    // Id in `share` of an owned task's copy, or of the receive task
+    // standing in for a remote producer; -1 for tasks not in the share.
+    std::vector<rt::TaskId> local(static_cast<std::size_t>(n), -1);
+    // Checkpoint barrier: the control task of frontier F waits for every
+    // owned task of panels < F, and every owned task of panels >= F waits
+    // for it, so the saved tiles are exactly "panels < F applied".
+    const int every = rec_.ckpt.enabled() ? rec_.ckpt.every : 0;
+    int frontier = every > 0 ? (k0 / every + 1) * every : a_.nt();
+    rt::TaskId ctrl = -1;
+    std::vector<rt::TaskId> since_ctrl;
+    const auto add_owned = [&](rt::TaskInfo info) {
+      const rt::TaskId id = share.add_task(std::move(info), {}, {});
+      if (ctrl >= 0) share.add_dependency(ctrl, id);
+      if (every > 0) since_ctrl.push_back(id);
+      return id;
+    };
+
+    for (rt::TaskId p = 0; p < n; ++p) {
+      const rt::TaskInfo& info = g_.info(p);
+      if (info.panel < k0) continue;
+      for (; frontier < a_.nt() && info.panel >= frontier;
+           frontier += every) {
+        rt::TaskInfo c = aux("checkpoint(" + std::to_string(frontier) + ")",
+                             frontier);
+        c.fn = [this, f = frontier] { checkpoint(f); };
+        const rt::TaskId id = share.add_task(std::move(c), {}, {});
+        if (ctrl >= 0) share.add_dependency(ctrl, id);
+        for (const rt::TaskId t : since_ctrl) share.add_dependency(t, id);
+        since_ctrl.clear();
+        ctrl = id;
+      }
+
+      if (owner(p) != rank_) {
+        if (dests_[static_cast<std::size_t>(p)].count(rank_) == 0) continue;
+        // The progress loop hands the payload over; the task installs the
+        // tile on the rank's worker, which keeps tile storage in the
+        // allocator arena of the thread that owns the replica.
+        const std::size_t slot = arrived_.size();
+        arrived_.emplace_back();
+        rt::TaskInfo r = aux("recv(" + info.name + ")", info.panel);
+        r.external_input = true;
+        r.fn = [this, slot, i = info.ti, j = info.tj] {
+          a_.at(i, j) = tlr::tile_from_bytes(arrived_[slot]);
+          arrived_[slot] = Bytes{};
+        };
+        const rt::TaskId id = share.add_task(std::move(r), {}, {});
+        local[static_cast<std::size_t>(p)] = id;
+        const std::uint64_t tag = tile_tag(info);
+        std::vector<int> children;
+        if (opts_.tree)
+          children = bcast::children(tag, owner(p),
+                                     dests_[static_cast<std::size_t>(p)],
+                                     rank_);
+        flow.expect(tag, std::move(children), id,
+                    [this, slot](const Bytes& bytes) {
+                      arrived_[slot] = bytes;
+                    });
+        continue;
+      }
+
+      rt::TaskInfo mine = info;
+      // The rank's one worker runs its share in lookahead order: the panel
+      // factorization and the updates of the next panel's column — what
+      // the other ranks wait for — first (band 2), then the column after
+      // (band 1), then the rest (band 0).
+      const int ahead = info.tj - info.panel;  // 0 for POTRF/TRSM
+      mine.priority = ahead <= 1 ? 2.0 : (ahead == 2 ? 1.0 : 0.0);
+      // The injected kill fires at the first owned task of its planned
+      // step: no cleanup, no BYE, exactly what a node crash looks like to
+      // the mesh.
+      if (kill_step >= 0 && info.panel >= kill_step)
+        mine.fn = [] { std::raise(SIGKILL); };
+      const rt::TaskId id = add_owned(std::move(mine));
+      local[static_cast<std::size_t>(p)] = id;
+      for (const rt::TaskId q : preds[static_cast<std::size_t>(p)])
+        if (local[static_cast<std::size_t>(q)] >= 0)
+          share.add_dependency(local[static_cast<std::size_t>(q)], id);
+      if (!dests_[static_cast<std::size_t>(p)].empty()) {
+        // A task of its own, outside the fault-retried kernel body, so a
+        // retry never re-sends a tag.
+        rt::TaskInfo s = aux("send(" + info.name + ")", info.panel);
+        s.fn = [this, p] { broadcast(p); };
+        share.add_dependency(id, add_owned(std::move(s)));
       }
     }
+    return share;
+  }
+
+  /// Crash-consistent checkpoint of the owned tiles with frontier `f`.
+  void checkpoint(int f) {
+    // Ack barrier BEFORE the frontier advances on disk: every send this
+    // rank made so far — broadcast roots and tree forwards alike — must be
+    // delivered, not merely queued. If this rank dies later, replay only
+    // re-covers steps at or past the frontier; anything older has to
+    // already be at its receiver.
+    t_.flush();
+    save_rank_checkpoint(rec_.ckpt.path_of(rank_), a_, dist_, rank_,
+                         static_cast<std::uint64_t>(f));
+    resil::note(resil::ResilienceEvent::kCkptWrite,
+                "rank " + std::to_string(rank_) + " frontier " +
+                    std::to_string(f));
   }
 
   rt::dist::Transport& t_;
   int rank_;
-  int nt_;
   const rt::Distribution& dist_;
   tlr::TlrMatrix& a_;
-  compress::Accuracy acc_;
   RankRecoveryOptions rec_;
   DistCommOptions opts_;
-  resil::FaultInjector injector_;
-  RankCommStats cstats_;
-  TileFlow flow_;
-  /// First step whose broadcasts are NOT yet registered with the flow.
-  int registered_upto_ = 0;
+  rt::TaskGraph g_;                  ///< the whole factorization
+  std::vector<std::set<int>> dests_;  ///< per task: consumer ranks
+  std::vector<Bytes> arrived_;  ///< per receive task: the payload
+  RankCommStats stats_;
+  RankCommStats sent_;  ///< broadcast roots; touched by the worker only
 };
 
 }  // namespace
@@ -363,7 +319,6 @@ DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
                                          const rt::Distribution& dist,
                                          const compress::Accuracy& acc,
                                          const DistCommOptions& opts) {
-  const int nt = a.nt();
   const int nranks = dist.nproc();
 
   const resil::RecoveryStats recovery_before = resil::snapshot();
@@ -371,25 +326,25 @@ DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(nranks));
   std::vector<RankCommStats> rank_comm(static_cast<std::size_t>(nranks));
+  // A private replica per rank thread, as a rank process has: received
+  // tiles land in the receiver's own slots.
+  std::vector<tlr::TlrMatrix> replicas(static_cast<std::size_t>(nranks), a);
   WallTimer timer;
   {
-    // Rank threads share the one matrix replica: owners write disjoint
-    // tiles, and non-owned inputs only ever arrive as messages — the same
-    // isolation discipline the multi-process backend gets from real
-    // address spaces.
     std::vector<std::thread> ranks;
     ranks.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       ranks.emplace_back([&, r] {
+        const auto slot = static_cast<std::size_t>(r);
         rt::dist::SimTransport transport(comm, r);
-        RankProgram prog(transport, nt, dist, a, acc, {}, opts);
         try {
-          prog.run();
+          RankRun run(transport, dist, replicas[slot], acc, {}, opts);
+          run.run();
+          rank_comm[slot] = run.comm_stats();
         } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
+          errors[slot] = std::current_exception();
           transport.abort();  // wake peers blocked on recv
         }
-        rank_comm[static_cast<std::size_t>(r)] = prog.comm_stats();
       });
     }
     for (auto& th : ranks) th.join();
@@ -400,6 +355,10 @@ DistCholeskyResult distributed_factorize(tlr::TlrMatrix& a,
   for (const auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+  for (int i = 0; i < a.nt(); ++i)
+    for (int j = 0; j <= i; ++j)
+      a.at(i, j) = std::move(
+          replicas[static_cast<std::size_t>(dist.owner(i, j))].at(i, j));
   result.comm = comm.stats();
   result.rank_comm = std::move(rank_comm);
   return result;
@@ -411,9 +370,11 @@ DistCholeskyResult distributed_factorize_rank(
     const RankRecoveryOptions& recovery, const DistCommOptions& opts) {
   const resil::RecoveryStats recovery_before = resil::snapshot();
   WallTimer timer;
-  RankProgram prog(transport, a.nt(), dist, a, acc, recovery, opts);
+  RankCommStats stats;
   try {
-    prog.run();
+    RankRun run(transport, dist, a, acc, recovery, opts);
+    run.run();
+    stats = run.comm_stats();
     transport.drain();
   } catch (...) {
     transport.abort();  // wake local receivers, tear the mesh down
@@ -423,7 +384,7 @@ DistCholeskyResult distributed_factorize_rank(
   result.seconds = timer.seconds();
   result.recovery = resil::diff(recovery_before, resil::snapshot());
   result.comm = transport.stats();
-  result.rank_comm.push_back(prog.comm_stats());
+  result.rank_comm.push_back(stats);
   return result;
 }
 

@@ -1,26 +1,26 @@
-// Distributed-memory BAND-DENSE-TLR Cholesky over the transport seam:
-// N ranks with private tile storage run the right-looking factorization
-// owner-computes, exchanging factored tiles as serialized messages (the
-// REMOTE dataflow of Section VII-A made concrete):
+// Distributed-memory BAND-DENSE-TLR Cholesky over the transport seam.
 //
-//   POTRF(k)   on owner(k,k), then L(k,k)  → ranks owning panel k tiles;
-//   TRSM(i,k)  on owner(i,k), then A(i,k)  → ranks owning the trailing
-//              tiles it updates;
-//   SYRK/GEMM  on the owner of the updated tile, reading received copies.
+// The Cholesky is defined once, by the task graph of
+// core/cholesky_graph.hpp. Each rank runs its owned share of that graph
+// (owner-computes) on rt::execute with one worker, and every REMOTE edge
+// of Section VII-A becomes a message: a send task after the producing
+// POTRF/TRSM broadcasts its tile to the owners of the tile's consumers —
+// down a binomial tree (core/bcast_tree.hpp) or, under PTLR_BCAST=flat,
+// one unicast per destination — and on each consumer rank an
+// external-input receive task stands in for the producer. The rank's
+// progress loop (core/tile_flow.hpp) receives and forwards the tiles and
+// releases those tasks, which install them in the rank's replica. No
+// task body blocks on the network, and
+// sends sit outside the fault-retried kernel bodies, so executor faults
+// (PTLR_FAULTS) and chaos (PTLR_PERTURB_SEED) reach the ranks without a
+// message ever being repeated.
 //
-// Broadcasts travel binomial trees by default (core/bcast_tree.hpp): the
-// origin serializes the tile once into a refcounted buffer and sends ONE
-// copy; receivers forward down deterministic trees via the lookahead
-// prefetcher (core/tile_flow.hpp), which also posts expected receives for
-// the next PTLR_LOOKAHEAD panels so updates rarely block in recv.
-// PTLR_BCAST=flat restores the one-unicast-per-destination PTG pattern.
-//
-// Numerically identical to the shared-memory factorization (same kernel
-// sequence per tile), which the tests assert tile-by-tile. The rank
-// program is written against rt::dist::Transport only, so the same code
-// runs over the in-process Communicator (distributed_factorize, N rank
-// threads) and over the real socket mesh (distributed_factorize_rank, one
-// OS process per rank, see src/net and tools/ptlr-launch).
+// Numerically identical to the shared-memory factorization (the same task
+// bodies), which the tests assert tile-by-tile. The code is written
+// against rt::dist::Transport only, so it runs over the in-process
+// Communicator (distributed_factorize, N rank threads) and over the real
+// socket mesh (distributed_factorize_rank, one OS process per rank, see
+// src/net and tools/ptlr-launch).
 #pragma once
 
 #include <vector>
@@ -45,18 +45,18 @@ struct DistCholeskyResult {
   /// the communicator's fault config, and their recoveries).
   resil::RecoveryStats recovery;
   /// Per-rank communication-path counters (broadcast egress, tree
-  /// forwards, lookahead hits, blocked-receive time). One entry per rank
+  /// forwards, arrivals that overlapped work, time waiting for tiles). One entry per rank
   /// for the in-process driver; exactly one entry — this endpoint's — for
   /// distributed_factorize_rank.
   std::vector<RankCommStats> rank_comm;
 };
 
-/// Factorize `a` in place with `nranks` ranks (one thread each) owning
-/// tiles per `dist`, over the in-process transport. Kernels are the
-/// non-recursive hcore set; `acc` controls low-rank recompression as in
-/// the shared-memory path. `opts` selects the communication path
-/// (broadcast trees, panel lookahead); the default reads PTLR_BCAST /
-/// PTLR_LOOKAHEAD.
+/// Factorize `a` in place with `nranks` ranks owning tiles per `dist`,
+/// over the in-process transport. Each rank is a thread (plus its progress
+/// loop) with a private replica of `a`; the owned tiles are copied back
+/// into `a` at the end. `acc` controls low-rank recompression as in the
+/// shared-memory path. `opts` selects the broadcast path; the default
+/// reads PTLR_BCAST.
 DistCholeskyResult distributed_factorize(
     tlr::TlrMatrix& a, const rt::Distribution& dist,
     const compress::Accuracy& acc,
@@ -75,8 +75,9 @@ struct RankRecoveryOptions {
   int epoch = 0;
   /// Fault plan for the rank_kill class (PTLR_FAULTS "kill=<p>"). Message
   /// and task faults stay where they were (transport / executor); the
-  /// whole-process kill is decided here because only the rank program
-  /// knows the k-step boundaries the plan is keyed on.
+  /// whole-process kill is decided here because it is keyed on panels: it
+  /// fires at the victim's first owned task of its planned step (or, when
+  /// the victim owns none from that step on, before its drain).
   resil::FaultConfig faults;
 
   static RankRecoveryOptions from_env();
@@ -84,18 +85,22 @@ struct RankRecoveryOptions {
 
 /// Run ONE rank of the factorization over `transport` — the entry point a
 /// rank process of the socket backend calls. `a` is this process's replica
-/// of the matrix: only the tiles `dist` assigns to transport.rank() are
-/// read as inputs and factored in place; every other tile is left
-/// untouched (its factored value lives in the owning process). Completes
-/// the transport's drain barrier before returning, so wire-level stats
-/// are final. Comm stats in the result are this endpoint's own sends.
+/// of the matrix: the tiles `dist` assigns to transport.rank() are
+/// factored in place, and the factored tiles this rank receives are
+/// installed in their slots (the other slots keep their input values; the
+/// factored values live in the owning processes). Completes the
+/// transport's drain barrier before returning, so wire-level stats are
+/// final. Comm stats in the result are this endpoint's own sends.
 ///
 /// With `recovery` enabled the rank checkpoints its tiles every
-/// ckpt.every steps, and — when running as a respawn (epoch > 0) —
+/// ckpt.every panels — a control task at frontier F waits for every owned
+/// task of panels < F, flushes the transport and saves; all owned tasks of
+/// later panels wait for it — and, when running as a respawn (epoch > 0),
 /// restores them, re-broadcasts the factored tiles peers may have lost
-/// with the old process, and resumes at the checkpointed frontier. The
-/// deterministic per-site compression seeds make the replay bitwise
-/// identical to an uninterrupted run.
+/// with the old process, and runs only the tasks and receives of panels
+/// from the checkpointed frontier on. The deterministic per-site
+/// compression seeds make the replay bitwise identical to an
+/// uninterrupted run.
 DistCholeskyResult distributed_factorize_rank(
     tlr::TlrMatrix& a, const rt::Distribution& dist,
     const compress::Accuracy& acc, rt::dist::Transport& transport,

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 
 namespace ptlr::core {
 
@@ -20,70 +19,41 @@ DistCommOptions DistCommOptions::from_env() {
       throw Error("PTLR_BCAST must be tree or flat, got: " + v);
     }
   }
-  if (const char* e = std::getenv("PTLR_LOOKAHEAD")) {
-    char* end = nullptr;
-    const long v = std::strtol(e, &end, 10);
-    PTLR_CHECK(end != nullptr && *end == '\0' && v >= 0 && v <= 1000,
-               "PTLR_LOOKAHEAD: expected 0..1000, got '" + std::string(e) +
-                   "'");
-    opts.lookahead = static_cast<int>(v);
-  }
   return opts;
 }
 
-void TileFlow::expect(std::uint64_t tag, std::vector<int> children) {
-  if (!seen_.insert(tag).second) return;
-  pending_.emplace(tag, std::move(children));
+void TileFlow::expect(std::uint64_t tag, std::vector<int> children,
+                      rt::TaskId task, Deliver deliver) {
+  PTLR_CHECK(pending_
+                 .emplace(tag, Expected{std::move(children), task,
+                                        std::move(deliver)})
+                 .second,
+             "TileFlow: tag expected twice");
 }
 
-void TileFlow::note_arrival(std::uint64_t tag, Bytes payload) {
-  const auto it = pending_.find(tag);
-  PTLR_CHECK(it != pending_.end(),
-             "TileFlow: arrival of a tag that was never expected");
-  // Forward FIRST, consume later: the children's progress must not wait
-  // for this rank to get around to its own update.
-  for (const int child : it->second) {
-    t_.send(child, tag, payload);  // shares the buffer, no copy
-    stats_.messages += 1;
-    stats_.bytes += static_cast<long long>(payload.size());
-    stats_.forwards += 1;
-    stats_.forward_bytes += static_cast<long long>(payload.size());
-  }
-  pending_.erase(it);
-  arrived_.emplace(tag, std::move(payload));
-}
-
-Bytes TileFlow::get(std::uint64_t tag) {
-  if (const auto it = arrived_.find(tag); it != arrived_.end()) {
-    Bytes out = std::move(it->second);
-    arrived_.erase(it);
-    stats_.prefetch_hits += 1;
-    return out;
-  }
-  PTLR_CHECK(seen_.count(tag) != 0,
-             "TileFlow::get of a tag that was never expected");
-  PTLR_CHECK(pending_.count(tag) != 0,
-             "TileFlow::get of a tag that was already consumed");
-  stats_.prefetch_misses += 1;
-  WallTimer blocked;
+void TileFlow::run(const std::function<bool(rt::TaskId)>& release) {
   std::vector<std::uint64_t> tags;
-  for (;;) {
-    // The wanted tag first (recv_any checks in order), then every other
-    // outstanding registration — whatever lands gets forwarded right away.
+  while (!pending_.empty()) {
     tags.clear();
-    tags.push_back(tag);
-    for (const auto& [other, children] : pending_) {
-      (void)children;
-      if (other != tag) tags.push_back(other);
-    }
+    for (const auto& entry : pending_) tags.push_back(entry.first);
     rt::dist::TaggedMessage msg = t_.recv_any(tags);
-    note_arrival(msg.tag, std::move(msg.payload));
-    if (const auto it = arrived_.find(tag); it != arrived_.end()) {
-      Bytes out = std::move(it->second);
-      arrived_.erase(it);
-      stats_.blocked_recv_seconds += blocked.seconds();
-      return out;
+    const auto it = pending_.find(msg.tag);
+    PTLR_CHECK(it != pending_.end(),
+               "TileFlow: arrival of a tag that was not expected");
+    // Forward FIRST: the children's progress must not wait for this
+    // rank's work.
+    for (const int child : it->second.children) {
+      t_.send(child, msg.tag, msg.payload);  // shares the buffer, no copy
+      stats_.messages += 1;
+      stats_.bytes += static_cast<long long>(msg.payload.size());
+      stats_.forwards += 1;
+      stats_.forward_bytes += static_cast<long long>(msg.payload.size());
     }
+    it->second.deliver(msg.payload);
+    // A release that wakes the worker means it had run out of work.
+    (release(it->second.task) ? stats_.prefetch_misses
+                              : stats_.prefetch_hits) += 1;
+    pending_.erase(it);
   }
 }
 

@@ -1,18 +1,14 @@
-// Receiver-side tile flow of the distributed Cholesky: broadcast-tree
-// forwarding and panel lookahead, behind one consume-by-tag interface.
+// Receiver side of the distributed Cholesky: the per-rank progress loop.
 //
-// The rank program registers every broadcast it will receive for the next
-// PTLR_LOOKAHEAD panels (expect), then consumes payloads by tag (get).
-// While get() blocks for one tile it keeps receiving — via the
-// transport's recv_any — every *other* registered tag, so:
-//
-//   * a tile whose bytes already arrived is handed over without touching
-//     the transport (the lookahead hit: TRSM/GEMM/SYRK never block in
-//     recv for data that is already here);
-//   * a tile this rank must forward down its broadcast tree is forwarded
-//     the moment it arrives — even while the rank is still computing an
-//     earlier panel — which is what moves the tree's latency off the
-//     critical path.
+// A rank registers every tile it will receive when it builds its share of
+// the task graph (core/dist_cholesky.cpp) — each stands for one
+// external-input receive task — and runs the loop as its executor's feed
+// (rt::ExecOptions::feed) while the worker computes. For whichever
+// expected tag lands first (the transport's recv_any), the loop forwards
+// the payload down the tag's broadcast tree at once, which moves the
+// tree's latency off the critical path, hands the payload to the receive
+// task and releases it; the task installs the tile in the rank's replica
+// slot.
 //
 // Forward-on-first-arrival is also the recovery invariant: every edge of
 // a broadcast tree is an ordinary transport send, so acks, retransmission
@@ -23,11 +19,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "runtime/taskgraph.hpp"
 #include "runtime/transport.hpp"
 
 namespace ptlr::core {
@@ -37,11 +34,8 @@ struct DistCommOptions {
   /// Broadcast factored tiles over binomial trees (core/bcast_tree.hpp)
   /// instead of one unicast per destination. PTLR_BCAST=tree|flat.
   bool tree = true;
-  /// How many panels ahead of the current one to post expected receives
-  /// for (0 = only the current panel). PTLR_LOOKAHEAD.
-  int lookahead = 2;
 
-  /// Strict parse of PTLR_BCAST / PTLR_LOOKAHEAD; a typo throws.
+  /// Strict parse of PTLR_BCAST; a typo throws.
   static DistCommOptions from_env();
 };
 
@@ -56,41 +50,50 @@ struct RankCommStats {
   long long root_egress_bytes = 0;
   long long forwards = 0;        ///< tree forwards performed
   long long forward_bytes = 0;   ///< payload bytes of those forwards
-  long long prefetch_hits = 0;   ///< get() served from already-arrived bytes
-  long long prefetch_misses = 0; ///< get() had to block on the transport
-  double blocked_recv_seconds = 0.0;  ///< wall time spent blocked in recv
+  /// Received tiles that arrived while the rank's worker still had other
+  /// work: the transfer overlapped computation.
+  long long prefetch_hits = 0;
+  /// Received tiles that arrived while the worker had run out of work and
+  /// was waiting for them.
+  long long prefetch_misses = 0;
+  /// Seconds the rank's executor worker sat idle with no ready task, i.e.
+  /// waiting for tiles to arrive: its run time minus its task time.
+  double blocked_recv_seconds = 0.0;
 };
 
-/// The per-rank prefetch/forward engine. Not thread-safe: one rank
-/// program drives it from its own thread, like the transport beneath it.
+/// The per-rank progress loop. Not thread-safe: register with expect()
+/// first, then one thread calls run().
 class TileFlow {
  public:
+  /// Hands the payload of an arrived tag to its receive task.
+  using Deliver = std::function<void(const Bytes&)>;
+
   TileFlow(rt::dist::Transport& t, RankCommStats& stats)
       : t_(t), stats_(stats) {}
 
   /// Register an expected broadcast delivery: `tag` will arrive from this
-  /// rank's tree parent (or, flat mode, from the owner) and must be
-  /// forwarded to `children` on first arrival (empty = leaf / flat).
-  /// Idempotent per tag — lookahead windows overlap across steps.
-  void expect(std::uint64_t tag, std::vector<int> children);
+  /// rank's tree parent (or, flat mode, from the owner), must be forwarded
+  /// to `children` (empty = leaf / flat), handed to `deliver`, and then
+  /// receive task `task` released. Each tag is expected at most once.
+  void expect(std::uint64_t tag, std::vector<int> children, rt::TaskId task,
+              Deliver deliver);
 
-  /// Consume the payload for `tag`, which must have been expect()ed.
-  /// Returns immediately when the bytes already arrived while this rank
-  /// was busy elsewhere; otherwise blocks in recv_any over every still-
-  /// outstanding registered tag, forwarding each arrival to its children,
-  /// until `tag` lands. Each tag is consumable exactly once.
-  Bytes get(std::uint64_t tag);
+  /// Receive until every expected tag has arrived, forwarding, delivering
+  /// and releasing each as it lands; counts prefetch hits and misses from
+  /// what `release` reports. Throws what the transport throws (abort, lost
+  /// peer, watchdog deadline).
+  void run(const std::function<bool(rt::TaskId)>& release);
 
  private:
-  /// Forward to the tag's registered children (sharing the one payload
-  /// buffer) and stash the payload for its consumer.
-  void note_arrival(std::uint64_t tag, Bytes payload);
+  struct Expected {
+    std::vector<int> children;
+    rt::TaskId task;
+    Deliver deliver;
+  };
 
   rt::dist::Transport& t_;
   RankCommStats& stats_;
-  std::map<std::uint64_t, std::vector<int>> pending_;  ///< expected, not arrived
-  std::map<std::uint64_t, Bytes> arrived_;  ///< arrived, not yet consumed
-  std::set<std::uint64_t> seen_;            ///< every tag ever expect()ed
+  std::map<std::uint64_t, Expected> pending_;  ///< expected, not arrived
 };
 
 }  // namespace ptlr::core

@@ -197,7 +197,10 @@ namespace {
 // Stable per-thread lane id: spans within one thread's buffer are appended
 // in timestamp order, so giving each recording thread its own tid keeps
 // every (pid, tid) lane monotone — the invariant tools/check_trace.py
-// enforces. Used by the resilience pid and the wire-event lanes.
+// enforces. Used by the resilience pid and the comm lanes: a distributed
+// rank sends from two threads (its executor worker's broadcast roots and
+// its progress loop's tree forwards), so a lane per rank would interleave
+// them.
 int thread_lane_id() {
   static std::atomic<int> next{0};
   thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
@@ -220,7 +223,7 @@ void record_comm(int from, int to, long long bytes) {
   s.cat = SpanCat::kComm;
   s.ti = from;
   s.tj = to;
-  s.worker = from;
+  s.worker = thread_lane_id();
   s.t0 = s.t1 = now_seconds();
   s.bytes = bytes;
   thread_buffer().spans.push_back(std::move(s));

@@ -40,7 +40,7 @@ namespace ptlr::obs {
 /// What a span describes; becomes the "cat" field of the Chrome event.
 enum class SpanCat : int {
   kTask = 0,   ///< an executed task body (executor lane, pid 0)
-  kComm = 1,   ///< a mailbox message deposit (rank lane, pid 1)
+  kComm = 1,   ///< a message send (sending-thread lane, pid 1)
   kResil = 2,  ///< a recovery event (resilience lane, pid 2)
 };
 
@@ -52,7 +52,7 @@ struct Span {
   int kind = -1;       ///< kernel class (flops::Kernel value; -1 = other)
   int panel = -1;      ///< Cholesky panel index k
   int ti = -1, tj = -1;  ///< tile coordinates (comm: from/to ranks)
-  int worker = 0;      ///< worker id (tasks) or source rank (comm)
+  int worker = 0;      ///< lane: worker id (tasks), recording thread (rest)
   double t0 = 0.0;     ///< seconds on the process-global steady clock
   double t1 = 0.0;
   double flops = 0.0;  ///< flops charged by this task's kernels (measured)

@@ -139,6 +139,9 @@ constexpr std::uint64_t tile_key64(int i, int j) {
 ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   PTLR_CHECK(nthreads >= 1, "need at least one worker");
   if (opts.validate) g.validate();
+  const std::vector<TaskId>& externals = g.external_tasks();
+  PTLR_CHECK(externals.empty() || opts.feed,
+             "graph has external-input tasks but no feed");
   const int n = g.size();
   ExecResult result;
   if (n == 0) return result;
@@ -168,6 +171,10 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
       state[static_cast<std::size_t>(t)].store(kStatePending,
                                                std::memory_order_relaxed);
   }
+  // An external input counts as one more predecessor.
+  for (const TaskId t : externals)
+    pending[static_cast<std::size_t>(t)].fetch_add(1,
+                                                   std::memory_order_relaxed);
 
   std::vector<TraceEvent> trace;
   if (opts.record_trace) trace.resize(static_cast<std::size_t>(n));
@@ -191,6 +198,10 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   // every pop/steal scan instead of paying three wasted reservation pops
   // (each a store-load barrier) per task.
   const int nbands = band_map.bands_used();
+  // A run fed by external releases never naps on the wake-futility
+  // backoff: its wakes are releases, not crumbs, and a napping worker is
+  // not advertised idle, so a release could not tell that it waits.
+  const bool may_nap = externals.empty();
   std::vector<std::unique_ptr<WsWorker>> ws(static_cast<std::size_t>(nthreads));
   for (auto& w : ws) w = std::make_unique<WsWorker>();
   IdleSet idle(nthreads);
@@ -221,14 +232,16 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     return true;
   };
 
-  // Record the first error, cancel the run, wake every worker.
+  // Record the first error, cancel the run, wake every worker; the first
+  // cancellation also runs on_cancel.
   auto fail = [&](std::exception_ptr err) {
     {
       std::lock_guard<std::mutex> lock(err_mu);
       if (!first_error) first_error = err;
     }
-    cancelled.store(true, std::memory_order_release);
+    const bool first = !cancelled.exchange(true, std::memory_order_acq_rel);
     wake_all();
+    if (first && opts.on_cancel) opts.on_cancel();
   };
 
   WallTimer timer;
@@ -404,7 +417,6 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
         resil::note(resil::ResilienceEvent::kWatchdogFire, os.str());
         watchdog_fired.store(true, std::memory_order_release);
         fail(std::make_exception_ptr(Error(os.str())));
-        if (opts.on_stall) opts.on_stall();
         return;
       }
     });
@@ -591,7 +603,9 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
     int rr = 0;
     for (TaskId t = n - 1; t >= 0; --t) {
       const TaskMeta& m = meta[static_cast<std::size_t>(t)];
-      if (m.npred != 0) continue;
+      if (pending[static_cast<std::size_t>(t)].load(
+              std::memory_order_relaxed) != 0)
+        continue;
       if (wd_on)
         state[static_cast<std::size_t>(t)].store(kStateReady,
                                                  std::memory_order_relaxed);
@@ -604,6 +618,31 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
           .push_prestart(t);
     }
   }
+  // The feed's release path: to an advertised-idle worker's inbox, else to
+  // the owner hint's. The target is always signalled through its sleep
+  // mutex, so the wake cannot slip past a worker about to park.
+  const auto release = [&](TaskId t) -> bool {
+    PTLR_CHECK(t >= 0 && t < n && g.info(t).external_input,
+               "feed released a task without an external input");
+    if (pending[static_cast<std::size_t>(t)].fetch_sub(
+            1, std::memory_order_acq_rel) != 1)
+      return false;
+    if (wd_on)
+      state[static_cast<std::size_t>(t)].store(kStateReady,
+                                               std::memory_order_relaxed);
+    const TaskMeta& m = meta[static_cast<std::size_t>(t)];
+    int w = idle.pick(-1);
+    const bool woke = w >= 0;
+    if (!woke) w = m.owner > 0 ? m.owner % nthreads : 0;
+    WsWorker& ww = *ws[static_cast<std::size_t>(w)];
+    {
+      std::lock_guard<std::mutex> lk(ww.inbox_mu);
+      ww.inbox.emplace_back(band_map.band(m.priority), t);
+    }
+    ww.inbox_nonempty.store(true, std::memory_order_release);
+    signal(w);
+    return woke;
+  };
 
   auto worker = [&](int self) {
     WsWorker& me = *ws[static_cast<std::size_t>(self)];
@@ -672,7 +711,7 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
           probing = false;
           ++futile;
         }
-        if (futile < kFutileWakeLimit) {
+        if (futile < kFutileWakeLimit || !may_nap) {
           // Out of work. Advertise idleness FIRST, then re-scan: a push
           // that raced with the first scan either happened before the bit
           // became visible (this second scan finds it) or after (the
@@ -808,7 +847,21 @@ ExecResult execute(TaskGraph& g, int nthreads, const ExecOptions& opts) {
   start_watchdog();
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(nthreads));
-  for (int w = 0; w < nthreads; ++w) pool.emplace_back(worker, w);
+  // A fed run keeps worker 0 on the calling thread and gives the feed a
+  // thread of its own, so task bodies allocate where the caller's data
+  // was allocated (a distributed rank's matrix replica).
+  const int first_pooled = opts.feed ? 1 : 0;
+  if (opts.feed) {
+    pool.emplace_back([&] {
+      try {
+        opts.feed(release);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    });
+  }
+  for (int w = first_pooled; w < nthreads; ++w) pool.emplace_back(worker, w);
+  if (opts.feed) worker(0);
   for (auto& th : pool) th.join();
   for (const auto& w : ws) {
     result.sched.steals += w->steals;
@@ -867,16 +920,6 @@ std::vector<double> panel_release_times(
           std::max(out[static_cast<std::size_t>(ev.panel)], ev.end);
   }
   return out;
-}
-
-std::vector<double> busy_per_process(const std::vector<TraceEvent>& trace,
-                                     int nproc) {
-  std::vector<double> busy(static_cast<std::size_t>(nproc), 0.0);
-  for (const auto& ev : trace) {
-    if (ev.proc >= 0 && ev.proc < nproc)
-      busy[static_cast<std::size_t>(ev.proc)] += ev.end - ev.start;
-  }
-  return busy;
 }
 
 }  // namespace ptlr::rt

@@ -52,10 +52,22 @@ struct ExecOptions {
   /// ready/running/pending task names is thrown (after flushing the obs
   /// trace, when enabled). Defaults honour PTLR_WATCHDOG_MS.
   resil::WatchdogConfig watchdog = resil::WatchdogConfig::from_env();
-  /// Invoked (once, off-lock) when the watchdog fires, before waiting for
-  /// workers to exit. Wire this to whatever can unblock stuck task bodies —
-  /// e.g. Communicator::abort() when bodies block on mailbox receives.
-  std::function<void()> on_stall;
+  /// Invoked (once, off-lock) when the run is cancelled — the watchdog
+  /// fired, or a task or the feed failed — before waiting for workers to
+  /// exit. Wire this to whatever can unblock stuck task bodies or a
+  /// blocked feed — e.g. Communicator::abort() for mailbox receives.
+  std::function<void()> on_cancel;
+  /// The one entry point for inputs from outside the graph (a distributed
+  /// rank's progress loop). Runs on a thread of its own while the workers
+  /// execute — worker 0 then runs on the calling thread — and hands each
+  /// arrived input to `release(t)`: external-input task t (TaskInfo::
+  /// external_input) becomes ready once its predecessors are done too, via
+  /// a worker's cross-worker inbox and wake path. `release` returns true
+  /// when it woke a worker that had run out of work, i.e. the run was
+  /// waiting for this input. The feed must return once it has released
+  /// every external-input task; if it throws, the run is cancelled and
+  /// execute() rethrows. Required when the graph has external inputs.
+  std::function<void(const std::function<bool(TaskId)>& release)> feed;
 };
 
 /// Execute every task in `g` respecting its dependencies, using `nthreads`

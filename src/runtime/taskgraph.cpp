@@ -21,6 +21,7 @@ TaskId TaskGraph::add_task(TaskInfo info, std::span<const DataKey> reads,
   const auto id = static_cast<TaskId>(nodes_.size());
   meta_.push_back(TaskMeta{info.priority, info.ti, info.tj, info.owner, 0});
   if (info.ti >= 0 && info.tj >= 0) ++ntiled_;
+  if (info.external_input) external_.push_back(id);
   nodes_.push_back(Node{std::move(info), {}});
 
   for (const DataKey k : reads) {
@@ -118,12 +119,6 @@ int TaskGraph::critical_path_length() const {
     }
   }
   return best;
-}
-
-double TaskGraph::total_duration() const {
-  double s = 0.0;
-  for (const Node& n : nodes_) s += n.info.duration;
-  return s;
 }
 
 }  // namespace ptlr::rt

@@ -69,6 +69,10 @@ struct TaskInfo {
   /// Outputs for snapshot/restore recovery; empty = not recoverable (the
   /// executor skips such tasks when injecting faults). See TaskOutput.
   std::vector<TaskOutput> outputs;
+  /// The task also waits for one input from outside the graph (a tile
+  /// received off the wire): it becomes ready only after its predecessors
+  /// finish AND the run's feed releases it (ExecOptions::feed).
+  bool external_input = false;
 };
 
 /// Scheduler-hot per-task metadata, packed to 24 bytes and maintained as
@@ -128,6 +132,10 @@ class TaskGraph {
   /// whole-graph pass plus a hash map — for graphs with no tiles at all
   /// (flat fuzz/bench DAGs).
   [[nodiscard]] int tiled_tasks() const { return ntiled_; }
+  /// Ids of the tasks added with TaskInfo::external_input, in id order.
+  [[nodiscard]] const std::vector<TaskId>& external_tasks() const {
+    return external_;
+  }
 
   /// Edge counts by locality given the owners stored in TaskInfo.
   struct EdgeStats {
@@ -138,9 +146,6 @@ class TaskGraph {
 
   /// Longest path length in task count (sanity metric for tests).
   [[nodiscard]] int critical_path_length() const;
-
-  /// Sum of task durations (serial time of the modelled execution).
-  [[nodiscard]] double total_duration() const;
 
  private:
   struct Node {
@@ -157,6 +162,7 @@ class TaskGraph {
   std::vector<Node> nodes_;
   std::vector<TaskMeta> meta_;  ///< parallel to nodes_
   int ntiled_ = 0;
+  std::vector<TaskId> external_;
   std::unordered_map<DataKey, LastAccess> last_;
 };
 

@@ -32,10 +32,6 @@ struct TraceEvent {
 /// curve of Fig. 9. Returns one entry per panel index present.
 std::vector<double> panel_release_times(const std::vector<TraceEvent>& trace);
 
-/// Per-process busy time (sum of task durations).
-std::vector<double> busy_per_process(const std::vector<TraceEvent>& trace,
-                                     int nproc);
-
 /// Aggregate statistics per task kind (TaskInfo::kind): how many ran and
 /// how much time they consumed — the per-kernel-class breakdown behind the
 /// Fig. 11 analysis ("most flops come from TLR GEMMs").

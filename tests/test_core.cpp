@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -994,7 +995,9 @@ TEST(DistributedCholesky, NonSpdInputAbortsAllRanksCleanly) {
 #include <thread>
 
 #include "core/bcast_tree.hpp"
+#include "core/cholesky_graph.hpp"
 #include "core/placement.hpp"
+#include "obs/trace.hpp"
 #include "resilience/watchdog.hpp"
 #include "runtime/transport.hpp"
 #include "tlr/io.hpp"
@@ -1178,10 +1181,7 @@ TEST(Placement, EnvParamsMustComeTogether) {
 TEST(DistCommOptions, EnvParsingIsStrict) {
   {
     const ScopedEnv b("PTLR_BCAST", nullptr);
-    const ScopedEnv l("PTLR_LOOKAHEAD", nullptr);
-    const auto opts = core::DistCommOptions::from_env();
-    EXPECT_TRUE(opts.tree);
-    EXPECT_EQ(opts.lookahead, 2);
+    EXPECT_TRUE(core::DistCommOptions::from_env().tree);
   }
   {
     const ScopedEnv b("PTLR_BCAST", "flat");
@@ -1193,18 +1193,6 @@ TEST(DistCommOptions, EnvParsingIsStrict) {
   }
   {
     const ScopedEnv b("PTLR_BCAST", "bogus");
-    EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "0");
-    EXPECT_EQ(core::DistCommOptions::from_env().lookahead, 0);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "-1");
-    EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
-  }
-  {
-    const ScopedEnv l("PTLR_LOOKAHEAD", "1001");
     EXPECT_THROW(core::DistCommOptions::from_env(), ptlr::Error);
   }
 }
@@ -1249,26 +1237,20 @@ TEST(Placement, NegotiationAgreesAcrossRanks) {
   EXPECT_GT(choices[0].params.beta_seconds_per_byte, 0.0);
 }
 
-// Tree and flat broadcasts, with and without lookahead, must factor the
-// matrix bit-for-bit identically — the communication path is invisible to
-// the numerics. The comm-path counters must meanwhile show the tree doing
-// its job: origin egress shrinks, forwards appear.
+// Tree and flat broadcasts must factor the matrix bit-for-bit identically
+// — the communication path is invisible to the numerics. The comm-path
+// counters must meanwhile show the tree doing its job: origin egress
+// shrinks, forwards appear.
 TEST(DistributedCholesky, TreeAndFlatBroadcastsMatchBitwise) {
   auto prob = test_problem(224, 91);
   const compress::Accuracy acc{1e-6, 1 << 30};
   const rt::BandDistribution dist(2, 2, 2);
 
-  struct Config {
-    bool tree;
-    int lookahead;
-  };
-  const Config configs[] = {{true, 2}, {true, 0}, {false, 2}};
   std::vector<tlr::TlrMatrix> factors;
   std::vector<core::DistCholeskyResult> results;
-  for (const Config& c : configs) {
+  for (const bool tree : {true, false}) {
     core::DistCommOptions opts;
-    opts.tree = c.tree;
-    opts.lookahead = c.lookahead;
+    opts.tree = tree;
     auto a = tlr::TlrMatrix::from_problem(prob, 32, acc, 2);
     results.push_back(core::distributed_factorize(a, dist, acc, opts));
     factors.push_back(std::move(a));
@@ -1288,13 +1270,105 @@ TEST(DistributedCholesky, TreeAndFlatBroadcastsMatchBitwise) {
     tree_egress += cs.root_egress_bytes;
     tree_forwards += cs.forwards;
   }
-  for (const auto& cs : results[2].rank_comm) {
+  for (const auto& cs : results[1].rank_comm) {
     flat_egress += cs.root_egress_bytes;
     flat_forwards += cs.forwards;
   }
   EXPECT_EQ(flat_forwards, 0);
   EXPECT_GT(tree_forwards, 0);
   EXPECT_LT(tree_egress, flat_egress);
+}
+
+// The graph-derived communication plan is the one the hand-written rank
+// loop it replaced used: a tile goes to the owners of its consumers in the
+// task graph, under the same tags and trees. Per-rank messages, bytes and
+// root egress are pinned to the rank loop's values for one shape under
+// every placement, flat and tree, at 2 and 4 ranks. Every task of the one
+// graph must also run exactly once, on one rank, and every plan must
+// produce the same factor bit for bit.
+TEST(DistributedCholesky, GraphCommPlanMatchesRankLoop) {
+  struct Plan {
+    int nranks;
+    PlacementKind kind;
+    bool tree;
+    std::vector<std::array<long long, 3>> ranks;  ///< msgs, bytes, egress
+  };
+  using K = PlacementKind;
+  const Plan plans[] = {
+      {2, K::kHybridBand, false, {{13, 160184, 160184}, {12, 142720, 142720}}},
+      {2, K::kHybridBand, true, {{13, 160184, 160184}, {12, 142720, 142720}}},
+      {2, K::kTwoD, false, {{12, 159152, 159152}, {9, 118072, 118072}}},
+      {2, K::kTwoD, true, {{12, 159152, 159152}, {9, 118072, 118072}}},
+      {2, K::kOneD, false, {{12, 159152, 159152}, {9, 118072, 118072}}},
+      {2, K::kOneD, true, {{12, 159152, 159152}, {9, 118072, 118072}}},
+      {4, K::kHybridBand, false,
+       {{13, 164808, 164808}, {11, 124248, 124248}, {11, 141176, 141176},
+        {10, 129360, 129360}}},
+      {4, K::kHybridBand, true,
+       {{11, 137592, 112952}, {13, 156072, 78040}, {11, 137592, 62632},
+        {10, 128336, 64680}}},
+      {4, K::kTwoD, false,
+       {{12, 157616, 157616}, {9, 101656, 101656}, {12, 141696, 141696},
+        {9, 121144, 121144}}},
+      {4, K::kTwoD, true,
+       {{10, 121168, 112952}, {13, 179672, 69824}, {9, 108328, 70848},
+        {10, 112944, 72896}}},
+      {4, K::kOneD, false,
+       {{18, 258224, 258224}, {13, 183272, 183272}, {9, 125272, 125272},
+        {6, 88800, 88800}}},
+      {4, K::kOneD, true,
+       {{13, 184296, 107296}, {12, 166848, 77520}, {5, 68280, 51856},
+        {16, 236144, 40552}}},
+  };
+  auto prob = test_problem(224, 91);
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  auto input = tlr::TlrMatrix::from_problem(prob, 32, acc, 1);
+  input.densify_band(2, &prob);
+
+  std::vector<tlr::TlrMatrix> factors;
+  for (const Plan& plan : plans) {
+    const auto dist = make_placement(plan.kind, plan.nranks, 2);
+    core::DistCommOptions opts;
+    opts.tree = plan.tree;
+    auto a = input;
+    obs::reset();
+    obs::enable(true);
+    const auto res = core::distributed_factorize(a, *dist, acc, opts);
+    obs::enable(false);
+    const std::string where = std::to_string(plan.nranks) + " ranks, " +
+                              placement_name(plan.kind) +
+                              (plan.tree ? ", tree" : ", flat");
+    ASSERT_EQ(res.rank_comm.size(), plan.ranks.size()) << where;
+    for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
+      const RankCommStats& cs = res.rank_comm[r];
+      EXPECT_EQ(cs.messages, plan.ranks[r][0]) << where << ", rank " << r;
+      EXPECT_EQ(cs.bytes, plan.ranks[r][1]) << where << ", rank " << r;
+      EXPECT_EQ(cs.root_egress_bytes, plan.ranks[r][2])
+          << where << ", rank " << r;
+    }
+
+    // Kernel spans (kind >= 0) name the graph's tasks; receive, send and
+    // checkpoint tasks carry no kernel class.
+    std::map<std::string, int> ran;
+    for (const obs::Span& span : obs::snapshot_spans())
+      if (span.cat == obs::SpanCat::kTask && span.kind >= 0) ++ran[span.name];
+    obs::reset();
+    GraphOptions gopt;
+    gopt.acc = acc;
+    gopt.dist = dist.get();
+    auto fresh = input;
+    const rt::TaskGraph g = build_cholesky_graph(fresh, gopt);
+    EXPECT_EQ(ran.size(), static_cast<std::size_t>(g.size())) << where;
+    for (rt::TaskId t = 0; t < g.size(); ++t)
+      EXPECT_EQ(ran[g.info(t).name], 1) << where << ", " << g.info(t).name;
+
+    factors.push_back(std::move(a));
+    for (int i = 0; i < input.nt(); ++i)
+      for (int j = 0; j <= i; ++j)
+        EXPECT_EQ(tlr::tile_to_bytes(factors.back().at(i, j)),
+                  tlr::tile_to_bytes(factors.front().at(i, j)))
+            << where << ", tile (" << i << "," << j << ")";
+  }
 }
 
 // ----------------------------------------------------------- kriging ----

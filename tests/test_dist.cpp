@@ -263,9 +263,14 @@ TEST(MultiProc, DeadRankFailsSurvivorsByName) {
                                 << r.output;
 }
 
+// A clean run whatever the caller's environment: faults and chaos are
+// cleared in the ranks' environment, as ptlr-dist --verify clears them
+// for its oracle.
 TEST(DistSocket, CleanRunMatchesOracleOn2And4Ranks) {
   for (const int nranks : {2, 4}) {
-    const auto r = mp::launch_ranks("dist_bitwise", nranks, {}, "2d");
+    const auto r = mp::launch_ranks(
+        "dist_bitwise", nranks,
+        {{"PTLR_FAULTS", ""}, {"PTLR_PERTURB_SEED", ""}}, "2d");
     ASSERT_TRUE(r.ok()) << "nranks=" << nranks << "\n" << r.output;
     EXPECT_EQ(sum_metric(r.output, "DROPS"), 0) << r.output;
   }

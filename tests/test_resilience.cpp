@@ -26,8 +26,10 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -386,7 +388,7 @@ TEST(ExecutorWatchdog, ConvertsStallIntoDescriptiveError) {
   {
     rt::TaskInfo t;
     t.name = "stuck_potrf";
-    t.fn = [released] { released.wait(); };  // wedged until on_stall
+    t.fn = [released] { released.wait(); };  // wedged until on_cancel
     g.add_task(std::move(t), {}, {{rt::make_key(0, 0, 0)}});
   }
   {
@@ -400,7 +402,7 @@ TEST(ExecutorWatchdog, ConvertsStallIntoDescriptiveError) {
   // The watchdog is also the only way this graph can make progress again:
   // once it fires (and the run is already condemned), unblock the body so
   // the pool can join.
-  opts.on_stall = [&release] { release.set_value(); };
+  opts.on_cancel = [&release] { release.set_value(); };
 
   std::string what;
   const auto ev = events_of([&] {
@@ -799,6 +801,92 @@ TEST(DistRecovery, DropsAndDuplicatesRecoverBitwise) {
                      result.recovery.messages_duplicated();
   }
   EXPECT_GT(faulted_total, 0);
+}
+
+// ------------------------------------- rank subgraphs on the executor ----
+// Every rank runs its share of the one Cholesky task graph on rt::execute,
+// so chaos mode (PTLR_PERTURB_SEED) perturbs the rank workers and
+// PTLR_FAULTS task/poison faults hit the rank kernels, which recovery
+// restores from their snapshots. Factors must stay bitwise equal to
+// core::factorize, and the message count must equal the fault-free one:
+// sends are tasks of their own, so a retried kernel never re-sends.
+
+namespace {
+
+struct RankCase {
+  int nranks;
+  bool band;  ///< band distribution (band 2) vs 2D block-cyclic
+};
+constexpr RankCase kRankCases[] = {{2, true}, {2, false}, {4, true},
+                                   {4, false}};
+
+std::unique_ptr<rt::Distribution> rank_dist(const RankCase& c) {
+  const auto [p, q] = rt::square_grid(c.nranks);
+  if (c.band) return std::make_unique<rt::BandDistribution>(p, q, 2);
+  return std::make_unique<rt::TwoDBlockCyclic>(p, q);
+}
+
+/// The ranks' input (band 2 densified, as core::factorize prepares it) and
+/// its shared-memory factor, both built with faults and chaos off.
+struct RankProblem {
+  tlr::TlrMatrix input;
+  tlr::TlrMatrix oracle;
+};
+
+RankProblem rank_problem() {
+  const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
+  const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
+  const auto prob = stars::make_problem(stars::ProblemKind::kSt3DExp, 96);
+  RankProblem rp{problem_matrix(prob, 16), problem_matrix(prob, 16)};
+  rp.input.densify_band(2, &prob);
+  core::factorize(rp.oracle, &prob, quiet_cholesky(/*band=*/2));
+  return rp;
+}
+
+long long fault_free_messages(const tlr::TlrMatrix& input,
+                              const rt::Distribution& dist) {
+  const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
+  const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
+  tlr::TlrMatrix a = input;
+  return core::distributed_factorize(a, dist, {1e-6, 1 << 30})
+      .comm.messages;
+}
+
+}  // namespace
+
+// Chaos seeds 1-8 and task/poison fault seeds 1-4, one knob at a time.
+TEST(DistRecovery, RankSubgraphsUnderChaosAndTaskFaultsMatchBitwise) {
+  const RankProblem rp = rank_problem();
+  std::vector<std::pair<const char*, std::string>> knobs;
+  for (int seed = 1; seed <= 8; ++seed)
+    knobs.emplace_back("PTLR_PERTURB_SEED", std::to_string(seed));
+  for (int seed = 1; seed <= 4; ++seed)
+    knobs.emplace_back("PTLR_FAULTS",
+                       "seed=" + std::to_string(seed) +
+                           ",task=0.2,alloc=0,poison=0.1,drop=0,dup=0");
+  long long injected_total = 0;
+  for (const RankCase& c : kRankCases) {
+    const auto dist = rank_dist(c);
+    const long long messages = fault_free_messages(rp.input, *dist);
+    for (const auto& [name, value] : knobs) {
+      const ScopedEnv no_faults("PTLR_FAULTS", nullptr);
+      const ScopedEnv no_chaos("PTLR_PERTURB_SEED", nullptr);
+      const ScopedEnv knob(name, value.c_str());
+      tlr::TlrMatrix a = rp.input;
+      const auto res = core::distributed_factorize(a, *dist, {1e-6, 1 << 30});
+      const std::string where = std::to_string(c.nranks) + " ranks, " +
+                                (c.band ? "band, " : "2d, ") + name + "=" +
+                                value;
+      EXPECT_TRUE(bitwise_equal(a, rp.oracle)) << where;
+      EXPECT_EQ(res.recovery.faults_injected(), res.recovery.retries())
+          << where;
+      EXPECT_EQ(res.recovery.retries(), res.recovery.tasks_recovered())
+          << where;
+      EXPECT_EQ(res.comm.messages, messages) << where;
+      injected_total += res.recovery.faults_injected();
+    }
+  }
+  EXPECT_GT(injected_total, 0);
 }
 
 // ------------------------------------------------ rank-kill fault class ----

@@ -692,7 +692,7 @@ TEST(WsScheduler, WatchdogConvertsStallIntoError) {
   auto opts = ws_options();
   opts.record_trace = false;
   opts.watchdog.deadline_ms = 100;
-  opts.on_stall = [&release] { release.set_value(); };
+  opts.on_cancel = [&release] { release.set_value(); };
   try {
     rt::execute(g, 2, opts);
     FAIL() << "expected the watchdog error";

@@ -5,17 +5,19 @@ bench_dist runs the in-process distributed Cholesky under flat unicast
 broadcasts and under the binomial-tree default at 2/4/8 ranks. This script
 enforces the properties the trees exist for, on the 4-rank pair:
 
-  * broadcast-origin egress with trees < --max-egress-ratio (default 0.75)
-    of the unicast egress — the acceptance bar is a >= 2x reduction and the
+  * broadcast-origin egress with trees < MAX_EGRESS_RATIO (0.75) of the
+    unicast egress — the acceptance bar is a >= 2x reduction and the
     counters are deterministic, so 0.75 has plenty of margin;
-  * end-to-end time with trees <= --max-e2e-ratio (default 1.05) of the
-    unicast time — the egress win must not be bought with a slowdown;
+  * end-to-end time with trees <= MAX_E2E_RATIO (1.05) of the unicast
+    time — the egress win must not be bought with a slowdown;
   * every run factored the matrix bitwise identically ("bitwise_identical"
     is true) — communication scheduling must never change numerics.
 
+Both bounds are module constants, not flags, so a caller cannot loosen
+them from the command line.
+
 Usage:
   check_dist_bench.py BENCH_dist.json [--nranks 4]
-                      [--max-egress-ratio 0.75] [--max-e2e-ratio 1.05]
 
 Exits 0 when all gates hold, 1 with a diagnostic otherwise — CI runs it in
 the dist-smoke job right after bench_dist.
@@ -23,6 +25,9 @@ the dist-smoke job right after bench_dist.
 import argparse
 import json
 import sys
+
+MAX_EGRESS_RATIO = 0.75  # tree/unicast origin-egress bytes must stay below
+MAX_E2E_RATIO = 1.05     # tree/unicast end-to-end seconds must stay below
 
 
 def fail(msg):
@@ -35,10 +40,6 @@ def main():
     ap.add_argument("bench", help="BENCH_dist.json produced by bench_dist")
     ap.add_argument("--nranks", type=int, default=4,
                     help="rank count to gate on (default 4)")
-    ap.add_argument("--max-egress-ratio", type=float, default=0.75,
-                    help="tree/unicast origin-egress bytes must stay below")
-    ap.add_argument("--max-e2e-ratio", type=float, default=1.05,
-                    help="tree/unicast end-to-end seconds must stay below")
     args = ap.parse_args()
 
     try:
@@ -61,17 +62,17 @@ def main():
 
     egress_ratio = tree["root_egress_bytes"] / max(
         unicast["root_egress_bytes"], 1)
-    if egress_ratio >= args.max_egress_ratio:
+    if egress_ratio >= MAX_EGRESS_RATIO:
         fail(f"tree origin egress {tree['root_egress_bytes']} B is "
              f"{egress_ratio:.3f}x unicast "
              f"({unicast['root_egress_bytes']} B); gate is < "
-             f"{args.max_egress_ratio}")
+             f"{MAX_EGRESS_RATIO}")
 
     e2e_ratio = tree["seconds"] / max(unicast["seconds"], 1e-12)
-    if e2e_ratio > args.max_e2e_ratio:
+    if e2e_ratio > MAX_E2E_RATIO:
         fail(f"tree end-to-end {tree['seconds']:.4f} s is "
              f"{e2e_ratio:.3f}x unicast ({unicast['seconds']:.4f} s); "
-             f"gate is <= {args.max_e2e_ratio}")
+             f"gate is <= {MAX_E2E_RATIO}")
 
     print(f"check_dist_bench: OK: at {args.nranks} ranks tree egress is "
           f"{egress_ratio:.3f}x unicast "

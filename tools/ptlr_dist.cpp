@@ -6,8 +6,8 @@
 // Every rank builds the same synthetic covariance problem (same seed) and
 // prepares its replica as core::factorize prepares its input: band-1
 // compression, BAND_SIZE from Algorithm 1 (or --band k to force it), then
-// the band regenerated dense from the problem. It runs the owner-computes
-// rank program (core::distributed_factorize_rank) over
+// the band regenerated dense from the problem. It runs the rank's share of
+// the factorization task graph (core::distributed_factorize_rank) over
 // net::SocketTransport; tiles move as real bytes on the wire. --dist auto
 // (the default) measures the mesh's (α, β) by ping-ponging rank 1 and lets
 // core::negotiate_placement pick band vs 2d vs 1d; band/2d/1d force a
@@ -161,8 +161,8 @@ int main(int argc, char** argv) try {
   if (!res.rank_comm.empty()) {
     const auto& cs = res.rank_comm.front();
     std::cout << "rank " << cfg.rank << ": comm path "
-              << (opts.tree ? "tree" : "flat") << " la=" << opts.lookahead
-              << ", root egress " << cs.root_egress_bytes << " B, "
+              << (opts.tree ? "tree" : "flat") << ", root egress "
+              << cs.root_egress_bytes << " B, "
               << cs.forwards << " forwards (" << cs.forward_bytes
               << " B), prefetch " << cs.prefetch_hits << " hit/"
               << cs.prefetch_misses << " miss, blocked recv "
