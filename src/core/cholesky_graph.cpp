@@ -494,6 +494,15 @@ rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
   return b.build(stats);
 }
 
+std::vector<std::set<int>> broadcast_dests(const rt::TaskGraph& g) {
+  std::vector<std::set<int>> dests(static_cast<std::size_t>(g.size()));
+  for (rt::TaskId p = 0; p < g.size(); ++p)
+    for (const rt::TaskId s : g.successors(p))
+      if (g.info(s).owner != g.info(p).owner)
+        dests[static_cast<std::size_t>(p)].insert(g.info(s).owner);
+  return dests;
+}
+
 rt::TaskGraph build_cholesky_graph(const RankMap& ranks,
                                    const GraphOptions& opt,
                                    GraphStats* stats) {

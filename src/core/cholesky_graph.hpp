@@ -18,6 +18,9 @@
 // modelled durations and message sizes (virtual-cluster runs).
 #pragma once
 
+#include <set>
+#include <vector>
+
 #include "core/cost_model.hpp"
 #include "core/rank_map.hpp"
 #include "runtime/distribution.hpp"
@@ -58,6 +61,14 @@ struct GraphStats {
 rt::TaskGraph build_cholesky_graph(tlr::TlrMatrix& mat,
                                    const GraphOptions& opt,
                                    GraphStats* stats = nullptr);
+
+/// For each task of a graph built with GraphOptions::dist: the ranks,
+/// other than the task's own, that run a consumer of its output tile —
+/// where a distributed run broadcasts that tile. Every cross-rank edge of the
+/// graph is such a read: a tile is written only by its owner, and read
+/// only after its last write. placement_comm_cost (core/placement.hpp)
+/// prices the same sets from the distribution alone.
+std::vector<std::set<int>> broadcast_dests(const rt::TaskGraph& g);
 
 /// Build the body-less modelled graph from rank information only
 /// (virtual-cluster simulation mode). `opt.cost` must be set.

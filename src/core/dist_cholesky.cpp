@@ -50,15 +50,7 @@ class RankRun {
     gopt.dist = &dist;
     g_ = build_cholesky_graph(a, gopt);
     stats_.rank = rank_;
-    // Broadcast destinations: the owners of each task's consumers on
-    // other ranks. Every cross-rank edge is a read of the producer's
-    // output tile — a tile is written only by its owner, and read only
-    // after its last write.
-    dests_.resize(static_cast<std::size_t>(g_.size()));
-    for (rt::TaskId p = 0; p < g_.size(); ++p)
-      for (const rt::TaskId s : g_.successors(p))
-        if (owner(s) != owner(p))
-          dests_[static_cast<std::size_t>(p)].insert(owner(s));
+    dests_ = broadcast_dests(g_);
   }
   // Task bodies and the progress loop hold `this`.
   RankRun(const RankRun&) = delete;

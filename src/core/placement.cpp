@@ -83,23 +83,28 @@ double placement_comm_cost(const PlacementProblem& prob,
   const auto dist = make_placement(kind, prob.nranks, prob.band);
   const int nt = prob.nt;
   double cost = 0.0;
-  for (int k = 0; k < nt; ++k) {
-    // Diagonal broadcast: L(k,k) to every rank owning a panel-k tile.
-    std::set<int> diag;
-    for (int i = k + 1; i < nt; ++i) diag.insert(dist->owner(i, k));
-    cost += broadcast_cost(prob, mesh, dist->owner(k, k), diag,
-                           tile_bytes(k, k, prob));
-    // Panel broadcasts: A(i,k) to every rank whose updates read it.
-    for (int i = k + 1; i < nt; ++i) {
-      std::set<int> dests;
-      dests.insert(dist->owner(i, i));
-      for (int j = k + 1; j < i; ++j) dests.insert(dist->owner(i, j));
-      for (int m = i + 1; m < nt; ++m) dests.insert(dist->owner(m, i));
-      cost += broadcast_cost(prob, mesh, dist->owner(i, k), dests,
+  for (int k = 0; k < nt; ++k)
+    for (int i = k; i < nt; ++i)
+      cost += broadcast_cost(prob, mesh, dist->owner(i, k),
+                             panel_tile_readers(*dist, nt, i, k),
                              tile_bytes(i, k, prob));
-    }
-  }
   return cost;
+}
+
+std::set<int> panel_tile_readers(const rt::Distribution& dist, int nt, int i,
+                                 int k) {
+  std::set<int> readers;
+  if (i == k) {
+    // L(k,k) goes to every rank owning a panel-k tile.
+    for (int m = k + 1; m < nt; ++m) readers.insert(dist.owner(m, k));
+  } else {
+    // A(i,k) goes to every rank whose updates read it: row i left of the
+    // diagonal, the diagonal tile, and column i below it.
+    for (int j = k + 1; j < i; ++j) readers.insert(dist.owner(i, j));
+    readers.insert(dist.owner(i, i));
+    for (int m = i + 1; m < nt; ++m) readers.insert(dist.owner(m, i));
+  }
+  return readers;
 }
 
 PlacementChoice choose_placement(const PlacementProblem& prob,

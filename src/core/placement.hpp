@@ -24,6 +24,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "runtime/distribution.hpp"
@@ -71,6 +72,14 @@ struct PlacementChoice {
 [[nodiscard]] double placement_comm_cost(const PlacementProblem& prob,
                                          const MeshParams& mesh,
                                          PlacementKind kind);
+
+/// The ranks that read tile (i, k) once panel k has produced it (i == k:
+/// the diagonal tile; i > k: a panel tile), possibly including its own
+/// owner — the broadcast sets placement_comm_cost prices. The distributed
+/// factorization derives the same sets from the task graph
+/// (broadcast_dests in core/cholesky_graph.hpp); tests pin the two equal.
+[[nodiscard]] std::set<int> panel_tile_readers(const rt::Distribution& dist,
+                                               int nt, int i, int k);
 
 /// Score all three candidates, pick the cheapest.
 [[nodiscard]] PlacementChoice choose_placement(const PlacementProblem& prob,

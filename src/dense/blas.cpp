@@ -76,13 +76,66 @@ void syrk_unblocked(Uplo uplo, Trans ta, double alpha, ConstMatrixView a,
   }
 }
 
+#if defined(__GNUC__) || defined(__clang__)
+using v8d = double __attribute__((vector_size(8 * sizeof(double))));
+
+// Rows [i0, i0 + 8 * V) of the Side::Right column recurrences below (X
+// op(A) = B), held in V vectors across the whole column sweep. Each
+// element sees the same multiply-adds, in the same order, and the same
+// reciprocal scaling as under the axpy/scal loops, so the result is
+// bitwise theirs; only the store and reload of X(:, j) between updates
+// are gone. op(A) upper (Upper/N, Lower/T) solves left to right.
+template <int V>
+void trsm_right_rows(Uplo uplo, Trans ta, bool unit, ConstMatrixView a,
+                     MatrixView b, int i0) {
+  const int n = b.cols();
+  const bool forward = (uplo == Uplo::Upper) == (ta == Trans::N);
+  for (int t = 0; t < n; ++t) {
+    const int j = forward ? t : n - 1 - t;
+    const int p0 = forward ? 0 : j + 1, p1 = forward ? j : n;
+    double* bj = b.col(j) + i0;
+    v8d y[V];
+    for (int v = 0; v < V; ++v)
+      __builtin_memcpy(&y[v], bj + 8 * v, sizeof(v8d));
+    for (int p = p0; p < p1; ++p) {
+      const double w = -(ta == Trans::T ? a(j, p) : a(p, j));
+      const double* xp = b.col(p) + i0;
+      for (int v = 0; v < V; ++v) {
+        v8d x;
+        __builtin_memcpy(&x, xp + 8 * v, sizeof x);
+        y[v] += w * x;
+      }
+    }
+    if (!unit) {
+      const double s = 1.0 / a(j, j);
+      for (int v = 0; v < V; ++v) y[v] *= s;
+    }
+    for (int v = 0; v < V; ++v)
+      __builtin_memcpy(bj + 8 * v, &y[v], sizeof(v8d));
+  }
+}
+#endif
+
 // Unblocked triangular solve (alpha already applied, flops already
 // charged): the seed's substitution loops, kept as the reference path and
 // as the diagonal-block solver of the blocked form.
 void trsm_unblocked(Side side, Uplo uplo, Trans ta, Diag diag,
                     ConstMatrixView a, MatrixView b) {
-  const int m = b.rows(), n = b.cols();
   const bool unit = diag == Diag::Unit;
+#if defined(__GNUC__) || defined(__clang__)
+  if (side == Side::Right) {
+    // Right-side rows are independent: whole vectors of rows first, the
+    // leftover rows through the loops below.
+    int i0 = 0;
+    for (; i0 + 32 <= b.rows(); i0 += 32)
+      trsm_right_rows<4>(uplo, ta, unit, a, b, i0);
+    for (; i0 + 8 <= b.rows(); i0 += 8)
+      trsm_right_rows<1>(uplo, ta, unit, a, b, i0);
+    if (i0 == b.rows()) return;
+    b = b.block(i0, 0, b.rows() - i0, b.cols());
+  }
+#endif
+  const int m = b.rows(), n = b.cols();
   if (side == Side::Left) {
     for (int j = 0; j < n; ++j) {
       double* bj = b.col(j);

@@ -19,15 +19,17 @@
 
 namespace ptlr::dense::detail {
 
-// Register microkernel footprint. kMR * kNR accumulators must fit in the
-// vector register file (8 + 6 doubles -> 6 full-width FMA rows on AVX2,
-// 6 zmm accumulators + broadcast on AVX-512).
-inline constexpr int kMR = 8;
-inline constexpr int kNR = 6;
+// The MR x NR register tile is not declared here: it follows the ISA the
+// engine sources are compiled for (gemm_kernel.cpp picks it, and passes it
+// to the packing routines as a template argument), so no other translation
+// unit can disagree with it. Results do not depend on it — see
+// gemm_blocked_tile below.
 
-// Cache blocks: an MR x KC sliver of packed A stays in L1 (8*256*8B = 16 KiB
-// of 48 KiB); the MC x KC packed A block stays in L2 (256*256*8B = 512 KiB
-// of 2 MiB); the KC x NC packed B block streams from L3.
+// Cache blocks: a KC x NR sliver of packed B stays in L1 while the
+// micro-panels of A stream past it (256*12*8B = 24 KiB of 48 KiB); the
+// MC x KC packed A block stays in L2 (256*256*8B = 512 KiB of 2 MiB); the
+// KC x NC packed B block streams from L3. kKC fixes the k-partition, and
+// with it the rounding of every blocked result; kMC does not.
 inline constexpr int kMC = 256;
 inline constexpr int kKC = 256;
 inline constexpr int kNC = 2048;
@@ -58,7 +60,33 @@ inline constexpr int kNestedMaxChunks = 8;
 /// rides the GEMM engine at full speed with a single packing pass.
 enum class TriMask { kNone, kLower, kUpper };
 
-/// Blocked, packed path: C += alpha * op(A) * op(B). Any m/n/k, any ld.
+/// Blocked, packed path with an explicit MR x NR register tile:
+/// C += alpha * op(A) * op(B). Any m/n/k, any ld. Each element of C is one
+/// multiply-add sum over each KC block of the k-partition, added to C once
+/// per block, whatever the tile shape: the shape only redraws blocking
+/// boundaries, so every instantiation returns bitwise-identical results.
+///
+/// `bpacked`, when non-null, is op(B) already packed by pack_b<NR> as one
+/// (KC, NC) block (k <= kKC, n <= kNC) and replaces the B packing pass:
+/// the parent of a nested GEMM packs B once and its row-chunk children
+/// share it. Instantiated for 8 x 6 (MR = one 8-wide vector) and 16 x 12
+/// (two 8-wide vectors per column, 24 accumulators for the 32 AVX-512
+/// registers).
+template <int MR, int NR>
+void gemm_blocked_tile(Trans ta, Trans tb, double alpha, ConstMatrixView a,
+                       ConstMatrixView b, MatrixView c, TriMask mask,
+                       const double* bpacked = nullptr);
+extern template void gemm_blocked_tile<8, 6>(Trans, Trans, double,
+                                             ConstMatrixView, ConstMatrixView,
+                                             MatrixView, TriMask,
+                                             const double*);
+extern template void gemm_blocked_tile<16, 12>(Trans, Trans, double,
+                                               ConstMatrixView,
+                                               ConstMatrixView, MatrixView,
+                                               TriMask, const double*);
+
+/// gemm_blocked_tile at the register tile of the build's ISA: 16 x 12
+/// under AVX-512, 8 x 6 otherwise.
 void gemm_blocked(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                   ConstMatrixView b, MatrixView c,
                   TriMask mask = TriMask::kNone);
@@ -75,16 +103,20 @@ void gemm_body(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                ConstMatrixView b, MatrixView c);
 
 /// Pack an mc x kc block of op(A) (alpha folded in) starting at row i0 /
-/// depth p0 into MR-row micro-panels, zero-padded to a multiple of kMR.
-/// Layout: panel q (rows [q*kMR, q*kMR+kMR)) occupies buf[q*kc*kMR ...],
-/// within a panel element (i, p) sits at p*kMR + i.
+/// depth p0 into MR-row micro-panels, zero-padded to a multiple of MR.
+/// Layout: panel q (rows [q*MR, q*MR+MR)) occupies buf[q*kc*MR ...],
+/// within a panel element (i, p) sits at p*MR + i. Instantiated for
+/// MR = 8 and 16.
+template <int MR>
 void pack_a(Trans ta, double alpha, ConstMatrixView a, int i0, int p0,
             int mc, int kc, double* buf);
 
 /// Pack a kc x nc block of op(B) starting at depth p0 / column j0 into
-/// NR-column micro-panels, zero-padded to a multiple of kNR.
-/// Layout: panel q (cols [q*kNR, q*kNR+kNR)) occupies buf[q*kc*kNR ...],
-/// within a panel element (p, j) sits at p*kNR + j.
+/// NR-column micro-panels, zero-padded to a multiple of NR.
+/// Layout: panel q (cols [q*NR, q*NR+NR)) occupies buf[q*kc*NR ...],
+/// within a panel element (p, j) sits at p*NR + j. Instantiated for
+/// NR = 6 and 12.
+template <int NR>
 void pack_b(Trans tb, ConstMatrixView b, int p0, int j0, int kc, int nc,
             double* buf);
 

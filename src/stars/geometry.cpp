@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/morton.hpp"
@@ -24,10 +25,16 @@ std::uint64_t morton_key(const Point& p, int dim) {
 
 void morton_sort(std::vector<Point>& pts, int dim) {
   PTLR_CHECK(dim == 2 || dim == 3, "morton_sort supports dim 2 or 3");
-  std::stable_sort(pts.begin(), pts.end(),
-                   [dim](const Point& a, const Point& b) {
-                     return morton_key(a, dim) < morton_key(b, dim);
-                   });
+  // One key per point, then sort (key, index) pairs: ordering ties by the
+  // original index gives exactly the stable_sort-by-key order.
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    keyed[i] = {morton_key(pts[i], dim), i};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<Point> sorted;
+  sorted.reserve(pts.size());
+  for (const auto& ki : keyed) sorted.push_back(pts[ki.second]);
+  pts = std::move(sorted);
 }
 
 std::vector<Point> grid2d(int n, Rng& rng, double jitter) {

@@ -1279,6 +1279,52 @@ TEST(DistributedCholesky, TreeAndFlatBroadcastsMatchBitwise) {
   EXPECT_LT(tree_egress, flat_egress);
 }
 
+// The placement cost model prices the broadcasts the distributed run
+// makes: for every placement at 2 and 4 ranks and bands 1, 2 and nt, the
+// readers placement_comm_cost walks for each diagonal and panel tile are
+// exactly the consumer owners the task graph hands each producer
+// (broadcast_dests, which RankRun sends to), and no update task sends.
+TEST(Placement, CostModelReadersMatchTheGraphsBroadcasts) {
+  auto prob = test_problem(224, 91);
+  const compress::Accuracy acc{1e-6, 1 << 30};
+  const auto base = tlr::TlrMatrix::from_problem(prob, 32, acc, 1);
+  const int nt = base.nt();
+  for (const int band : {1, 2, nt}) {
+    auto a = base;
+    a.densify_band(band, &prob);
+    for (const int nranks : {2, 4}) {
+      for (const PlacementKind kind :
+           {PlacementKind::kOneD, PlacementKind::kTwoD,
+            PlacementKind::kHybridBand}) {
+        const auto dist = make_placement(kind, nranks, band);
+        GraphOptions gopt;
+        gopt.acc = acc;
+        gopt.dist = dist.get();
+        const rt::TaskGraph g = build_cholesky_graph(a, gopt);
+        const auto dests = broadcast_dests(g);
+        const std::string where = std::to_string(nranks) + " ranks, " +
+                                  placement_name(kind) + ", band " +
+                                  std::to_string(band);
+        int producers = 0;
+        for (rt::TaskId t = 0; t < g.size(); ++t) {
+          const rt::TaskInfo& info = g.info(t);
+          const auto& got = dests[static_cast<std::size_t>(t)];
+          if (info.tj != info.panel) {  // SYRK/GEMM update
+            EXPECT_TRUE(got.empty()) << where << ", " << info.name;
+            continue;
+          }
+          ++producers;
+          std::set<int> want =
+              panel_tile_readers(*dist, nt, info.ti, info.panel);
+          want.erase(info.owner);
+          EXPECT_EQ(got, want) << where << ", " << info.name;
+        }
+        EXPECT_EQ(producers, nt * (nt + 1) / 2) << where;
+      }
+    }
+  }
+}
+
 // The graph-derived communication plan is the one the hand-written rank
 // loop it replaced used: a tile goes to the owners of its consumers in the
 // task graph, under the same tags and trees. Per-rank messages, bytes and

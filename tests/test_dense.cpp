@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/flops.hpp"
 #include "compress/compress.hpp"
 #include "dense/blas.hpp"
+#include "dense/gemm_kernel.hpp"
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
 
@@ -210,6 +212,107 @@ TEST(GemmOracle, BlockedHandlesPaddedLeadingDimensions) {
   EXPECT_EQ(pc(7 + m, 1), pc(7 + m, 1));  // no ASan/UBSan trip is the test
 }
 
+// ----------------------------------------------------- register tile ----
+
+namespace {
+
+// Number of elements of x and y whose bit patterns differ.
+int bitwise_mismatches(ConstMatrixView x, ConstMatrixView y) {
+  int bad = 0;
+  for (int j = 0; j < x.cols(); ++j)
+    for (int i = 0; i < x.rows(); ++i) {
+      const double u = x(i, j), v = y(i, j);
+      bad += std::memcmp(&u, &v, sizeof u) != 0;
+    }
+  return bad;
+}
+
+}  // namespace
+
+// The engine's 8 x 6 and 16 x 12 register tiles only redraw blocking
+// boundaries: each element of C is the same multiply-add sum over each KC
+// block, so the two must agree bit for bit. Both instantiations run on any
+// host (without AVX-512 the 16 x 12 tile compiles to generic vector code).
+TEST(GemmTileShape, ResultsAreBitwiseIndependentOfTheRegisterTile) {
+  namespace dd = ptlr::dense::detail;
+  // m, n off the multiples of 16 and 12; k past one KC block and below
+  // one A vector.
+  const int cases[][3] = {{1, 1, 1},     {17, 13, 5},  {45, 31, 7},
+                          {64, 64, 64},  {100, 70, 3}, {129, 131, 257},
+                          {250, 23, 300}, {37, 260, 520}};
+  const double alphas[] = {1.0, -0.75, 0.3};
+  const dd::TriMask masks[] = {dd::TriMask::kNone, dd::TriMask::kLower,
+                               dd::TriMask::kUpper};
+  Rng rng(7);
+  int combo = 0;
+  for (const auto& sz : cases) {
+    const int m = sz[0], n = sz[1], k = sz[2];
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const dd::TriMask mask : masks) {
+          const double alpha = alphas[combo++ % 3];
+          Matrix a(ta == Trans::N ? m : k, ta == Trans::N ? k : m);
+          Matrix b(tb == Trans::N ? k : n, tb == Trans::N ? n : k);
+          Matrix c0(m, n);
+          fill_uniform(a.view(), rng);
+          fill_uniform(b.view(), rng);
+          fill_uniform(c0.view(), rng);
+          Matrix narrow = c0, wide = c0;
+          dd::gemm_blocked_tile<8, 6>(ta, tb, alpha, a.view(), b.view(),
+                                      narrow.view(), mask);
+          dd::gemm_blocked_tile<16, 12>(ta, tb, alpha, a.view(), b.view(),
+                                        wide.view(), mask);
+          EXPECT_EQ(bitwise_mismatches(narrow.view(), wide.view()), 0)
+              << "m=" << m << " n=" << n << " k=" << k
+              << " ta=" << (ta == Trans::N ? "N" : "T")
+              << " tb=" << (tb == Trans::N ? "N" : "T")
+              << " mask=" << static_cast<int>(mask) << " alpha=" << alpha;
+          // The engine did write C (a masked call still covers the
+          // diagonal).
+          EXPECT_GT(bitwise_mismatches(narrow.view(), c0.view()), 0);
+        }
+      }
+    }
+  }
+}
+
+// A B operand packed once by the caller (the nested-GEMM parent) gives the
+// bytes the engine would have packed itself, for either tile shape.
+template <int MR, int NR>
+void expect_prepacked_b_matches(Rng& rng) {
+  namespace dd = ptlr::dense::detail;
+  const int m = 77, n = 53;
+  for (const int k : {5, 129, dd::kKC}) {
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        Matrix a(ta == Trans::N ? m : k, ta == Trans::N ? k : m);
+        Matrix b(tb == Trans::N ? k : n, tb == Trans::N ? n : k);
+        Matrix own(m, n);
+        fill_uniform(a.view(), rng);
+        fill_uniform(b.view(), rng);
+        fill_uniform(own.view(), rng);
+        Matrix shared = own;
+        std::vector<double> bp(static_cast<std::size_t>((n + NR - 1) / NR) *
+                               NR * k);
+        dd::pack_b<NR>(tb, b.view(), 0, 0, k, n, bp.data());
+        dd::gemm_blocked_tile<MR, NR>(ta, tb, -1.5, a.view(), b.view(),
+                                      own.view(), dd::TriMask::kNone);
+        dd::gemm_blocked_tile<MR, NR>(ta, tb, -1.5, a.view(), b.view(),
+                                      shared.view(), dd::TriMask::kNone,
+                                      bp.data());
+        EXPECT_EQ(bitwise_mismatches(own.view(), shared.view()), 0)
+            << MR << "x" << NR << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(GemmTileShape, PrepackedBMatchesSelfPackedB) {
+  Rng rng(8);
+  expect_prepacked_b_matches<8, 6>(rng);
+  expect_prepacked_b_matches<16, 12>(rng);
+}
+
 // ----------------------------------------------- BLAS NaN/Inf semantics ----
 
 // Reference BLAS computes 0 * NaN = NaN; the seed's `if (w == 0) continue`
@@ -331,6 +434,39 @@ TEST(BlockedPath, TrsmMatchesUnblockedAllVariants) {
           set_kernel_path(KernelPath::kAuto);
           const double scale = frob_norm(bu.view());
           EXPECT_LT(frob_diff(b.view(), bu.view()), 1e-10 * (1.0 + scale));
+        }
+      }
+    }
+  }
+}
+
+// Side::Right solves treat every row of B on its own, and the unblocked
+// solver holds whole vectors of rows across its column sweep. Whatever
+// the row count, the result must be bitwise the one a row-at-a-time
+// solve (the plain substitution loops) gives.
+TEST(BlockedPath, TrsmRightRowBlocksMatchRowAtATimeSolves) {
+  KernelPathGuard guard;
+  set_kernel_path(KernelPath::kUnblocked);
+  Rng rng(64);
+  const int n = 45;
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        Matrix a(n, n);
+        fill_uniform(a.view(), rng, -0.5, 0.5);
+        for (int j = 0; j < n; ++j) a(j, j) = 2.0 + j * 0.01;
+        for (const int m : {1, 7, 8, 9, 31, 32, 33, 40, 71}) {
+          Matrix whole(m, n);
+          fill_uniform(whole.view(), rng);
+          Matrix rows = whole;
+          trsm(Side::Right, uplo, ta, diag, 1.5, a.view(), whole.view());
+          for (int i = 0; i < m; ++i)
+            trsm(Side::Right, uplo, ta, diag, 1.5, a.view(),
+                 rows.view().block(i, 0, 1, n));
+          EXPECT_EQ(bitwise_mismatches(whole.view(), rows.view()), 0)
+              << "m=" << m << " uplo=" << static_cast<int>(uplo)
+              << " ta=" << (ta == Trans::N ? "N" : "T")
+              << " unit=" << (diag == Diag::Unit);
         }
       }
     }

@@ -756,6 +756,101 @@ TEST(WsScheduler, BandCholeskyFactorBitwiseMatchesSequentialOracle) {
   }
 }
 
+TEST(WsScheduler, SharedPackedBUnderContentionMatchesSerialCalls) {
+  // Graph tasks three at a time on 4 workers, so idle workers steal
+  // children and waiting parents run other tasks' children on their own
+  // threads. Each nested 256-GEMM parent packs op(B) once for its
+  // row-chunk children; each TRSM's right-hand-side children become
+  // parents of nested GEMMs themselves; a 1024 x 64 GEMM with k = 300 >
+  // kKC takes the per-child packing fallback into per-thread buffers,
+  // and keeps children on offer long after the 256-GEMM's run out — a
+  // shared B kept in a per-thread buffer gets overwritten here within a
+  // few repetitions. Every result must match the serial call (no child
+  // substrate) bit for bit under chaos seeds 1–8.
+  using dense::Trans;
+  struct Job {
+    bool trsm = false;
+    Trans ta = Trans::N, tb = Trans::N;
+    dense::Side side = dense::Side::Left;
+    dense::Matrix a, b, c;
+  };
+  Rng rng(23);
+  const auto random = [&rng](int r, int c) {
+    dense::Matrix x(r, c);
+    for (int j = 0; j < c; ++j)
+      for (int i = 0; i < r; ++i) x(i, j) = rng.uniform(-1.0, 1.0);
+    return x;
+  };
+  const int n = 256;
+  const Trans cases[][2] = {{Trans::N, Trans::N},
+                            {Trans::N, Trans::T},
+                            {Trans::T, Trans::N},
+                            {Trans::T, Trans::T}};
+  std::vector<Job> jobs;  // groups of three: shared B, fallback, TRSM
+  for (int c = 0; c < 4; ++c) {
+    for (const int k : {n, 300}) {
+      Job j;
+      j.ta = cases[c][0];
+      j.tb = cases[c][1];
+      const int m = k == n ? n : 4 * n;
+      const int w = k == n ? n : 64;
+      j.a = j.ta == Trans::N ? random(m, k) : random(k, m);
+      j.b = j.tb == Trans::N ? random(k, w) : random(w, k);
+      j.c = random(m, w);
+      jobs.push_back(std::move(j));
+    }
+    Job t;
+    t.trsm = true;
+    t.side = c % 2 == 0 ? dense::Side::Left : dense::Side::Right;
+    t.ta = c < 2 ? Trans::N : Trans::T;
+    t.a = random(n, n);  // well-conditioned lower triangle
+    for (int i = 0; i < n; ++i) t.a(i, i) = 4.0 + std::abs(t.a(i, i));
+    t.c = random(n, n);
+    jobs.push_back(std::move(t));
+  }
+  const auto run_job = [](const Job& j, dense::Matrix& out) {
+    if (j.trsm) {
+      dense::trsm(j.side, dense::Uplo::Lower, j.ta, dense::Diag::NonUnit,
+                  0.5, j.a.view(), out.view());
+    } else {
+      dense::gemm(j.ta, j.tb, -0.75, j.a.view(), j.b.view(), 1.0,
+                  out.view());
+    }
+  };
+  std::vector<dense::Matrix> want;
+  for (const Job& j : jobs) {
+    want.push_back(j.c);
+    run_job(j, want.back());
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    rt::ExecOptions opts = ws_options();
+    opts.perturb = rt::PerturbConfig::with_seed(seed);
+    for (int rep = 0; rep < 3; ++rep) {
+      for (std::size_t g0 = 0; g0 < jobs.size(); g0 += 3) {
+        std::vector<dense::Matrix> got;
+        rt::TaskGraph g;
+        for (std::size_t t = g0; t < g0 + 3; ++t) got.push_back(jobs[t].c);
+        for (std::size_t t = 0; t < 3; ++t) {
+          rt::TaskInfo info;
+          info.name = "job" + std::to_string(g0 + t);
+          info.fn = [&run_job, &jobs, &got, g0, t] {
+            run_job(jobs[g0 + t], got[t]);
+          };
+          g.add_task(std::move(info), {}, {});
+        }
+        const rt::ExecResult res = rt::execute(g, 4, opts);
+        EXPECT_GT(res.sched.nested_spawned, 0) << "seed " << seed;
+        for (std::size_t t = 0; t < 3; ++t) {
+          EXPECT_EQ(std::memcmp(got[t].data(), want[g0 + t].data(),
+                                sizeof(double) * got[t].size()),
+                    0)
+              << "job " << g0 + t << " diverged at chaos seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(WsScheduler, NestedBandCholeskyBitwiseMatchesSequentialOracle) {
   // Tile kernels at b = 192 put the dense-band macro-kernels above the
   // 64^3 nested cutoff, so the multi-worker runs exercise child-task

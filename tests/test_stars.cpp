@@ -2,7 +2,9 @@
 // covariance problem generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dense/lapack.hpp"
 #include "dense/util.hpp"
@@ -165,6 +167,42 @@ TEST(Geometry, MortonSortImprovesIndexLocality) {
   }
   random_pairs /= 2000.0;
   EXPECT_LT(consecutive, 0.3 * random_pairs);
+}
+
+TEST(Geometry, MortonSortEqualsStableSortByKey) {
+  // Clouds with forced duplicate keys: every third point gets a neighbour
+  // closer than one quantization step (same key, different coordinates),
+  // so the order among equal keys is visible and must be the stable one.
+  for (int dim : {2, 3}) {
+    Rng rng(static_cast<std::uint64_t>(40 + dim));
+    std::vector<Point> pts;
+    for (int i = 0; i < 600; ++i) {
+      Point p{rng.uniform(), rng.uniform(), dim == 3 ? rng.uniform() : 0.0};
+      pts.push_back(p);
+      if (i % 3 == 0) {
+        Point q = p;
+        q.x += 1e-9 * (i + 1);
+        pts.push_back(q);
+      }
+      if (i % 7 == 0) pts.push_back(p);
+    }
+    auto expected = pts;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [dim](const Point& a, const Point& b) {
+                       return morton_key(a, dim) < morton_key(b, dim);
+                     });
+    int ties = 0;
+    for (std::size_t i = 0; i + 1 < expected.size(); ++i)
+      ties += morton_key(expected[i], dim) == morton_key(expected[i + 1], dim);
+    EXPECT_GT(ties, 200) << "dim " << dim;
+    morton_sort(pts, dim);
+    ASSERT_EQ(pts.size(), expected.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(pts[i].x, expected[i].x) << "dim " << dim << " at " << i;
+      EXPECT_EQ(pts[i].y, expected[i].y) << "dim " << dim << " at " << i;
+      EXPECT_EQ(pts[i].z, expected[i].z) << "dim " << dim << " at " << i;
+    }
+  }
 }
 
 TEST(Geometry, DistanceIsEuclidean) {
